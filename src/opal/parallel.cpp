@@ -399,7 +399,7 @@ ParallelRunResult ParallelOpal::run() {
         mi.src = m.src;
         mi.tag = m.tag;
         mi.seq = m.seq;
-        mi.checksum = m.checksum;
+        mi.checksum = m.stamped_checksum();
         mi.corrupted = m.corrupted;
         const std::span<const std::uint8_t> raw = m.body.raw_bytes();
         mi.raw.assign(raw.begin(), raw.end());

@@ -392,7 +392,7 @@ VT_PURE sim::Task<void> PvmSystem::do_send(int src_tid, int dst_tid, int tag,
 
   // A crashed sender transmits nothing.
   if (fault.node_dead(src_node, engine().now())) co_return;
-  m.checksum = body.checksum();
+  m.checksum_pending = true;
   m.body = std::move(body);
   co_await machine_->transfer(src_node, dst_node, bytes);
   // A message addressed to a node that is dead at delivery time vanishes.
@@ -414,13 +414,18 @@ VT_PURE sim::Task<void> PvmSystem::do_send(int src_tid, int dst_tid, int tag,
       co_return;
     }
     case sim::MessageFault::Corrupt:
+      // Stamp the sent bytes' checksum before they are lost.  The verdict
+      // needs no rehash: a flipped byte always changes an FNV-1a checksum
+      // (see message.hpp), and an empty body has no byte to flip.
+      m.checksum = m.body.checksum();
+      m.checksum_pending = false;
       m.body.corrupt_byte(fault.next_corrupt_position(m.body.raw_size()));
+      m.corrupted = m.body.raw_size() != 0;
       obs::instant(obs::Cat::kFault, "corrupt", engine().now(), dst_node,
                    {"src", static_cast<double>(src_node)},
                    {"mseq", static_cast<double>(m.seq)});
       [[fallthrough]];
     case sim::MessageFault::None:
-      m.corrupted = m.body.checksum() != m.checksum;
       deliver(std::move(m), /*faults_active=*/true);
       co_return;
   }

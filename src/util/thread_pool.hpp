@@ -86,7 +86,9 @@ class ThreadPool {
   static bool in_dispatch() noexcept;
 
   /// Number of worker threads a pool gets by default: OPALSIM_THREADS when
-  /// set (clamped to >= 1), else the hardware concurrency.
+  /// set (exact when >= 1, any other set value gives 1), else the hardware
+  /// concurrency.  The dispatching thread runs indices too, so a dispatch
+  /// has one participant more than this.
   HOST_ONLY static unsigned default_threads();
 
  private:

@@ -8,6 +8,7 @@
 // trace instants — any divergence is a replay bug, never a flag artifact.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/snapshot.hpp"
 #include "mach/platforms_db.hpp"
 #include "opal/parallel.hpp"
 #include "sim/fault.hpp"
@@ -39,6 +41,22 @@ std::string slurp(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+opalsim::ckpt::RunSnapshot decode_file(const std::string& path) {
+  const std::string bytes = slurp(path);
+  return opalsim::ckpt::decode(
+      std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
+}
+
+/// Reference FNV-1a, independent of PackBuffer::checksum().
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 std::vector<std::string> lines_of(const std::string& text) {
@@ -302,6 +320,61 @@ TEST_F(CheckpointResumeTest, FingerprintMismatchRefusesResume) {
     EXPECT_NE(std::string(e.what()).find("different run configuration"),
               std::string::npos);
   }
+}
+
+TEST_F(CheckpointResumeTest, CorruptedResidueStampsSentChecksums) {
+  // Payload corruption plus duplication, with a retry timeout far below the
+  // step time so retransmitted replies pile up as mailbox residue.  Seed 1
+  // leaves three items at the step-3 boundary, one of them corrupted.
+  SimulationConfig cfg;
+  cfg.steps = 7;
+  cfg.cutoff = 10.0;
+  cfg.update_every = 2;
+  cfg.checkpoint_every_steps = 3;  // images at steps 3 and 6
+  FaultSpec fault;
+  fault.seed = 1;
+  fault.corrupt_rate = 0.2;
+  fault.duplicate_rate = 0.05;
+  opalsim::sciddle::Options mw = ft_middleware();
+  mw.retry.timeout_s = 0.005;
+  mw.retry.heartbeat_timeout_s = 0.005;
+  const PlatformSpec platform =
+      with_faults(opalsim::mach::fast_cops(), fault);
+  const MolecularComplex mc = opalsim::opal::make_small_complex();
+
+  cfg.checkpoint_out = image_;
+  const RunOutputs golden = run(cfg, platform, mc, 4, mw, "golden");
+  const std::string step3 = (dir_ / "step3.ckpt").string();
+  fs::copy_file(image_ + ".prev", step3);
+
+  // Every stored checksum is the FNV-1a of the body as sent: a clean item's
+  // raw bytes still hash to it, a corrupted item's no longer do.
+  std::size_t corrupted = 0, clean = 0;
+  for (const std::string& path : {step3, image_}) {
+    const opalsim::ckpt::RunSnapshot s = decode_file(path);
+    EXPECT_EQ(s.step, path == step3 ? 3u : 6u);
+    for (const auto& mailbox : s.mailboxes) {
+      for (const opalsim::ckpt::MailboxItemSnap& mi : mailbox) {
+        EXPECT_NE(mi.checksum, 0u) << path << " seq " << mi.seq;
+        EXPECT_EQ(mi.corrupted, mi.checksum != fnv1a(mi.raw))
+            << path << " seq " << mi.seq;
+        ++(mi.corrupted ? corrupted : clean);
+      }
+    }
+  }
+  ASSERT_GE(corrupted, 1u) << "no corrupted residue: the test is vacuous";
+  ASSERT_GE(clean, 1u) << "no clean residue: the test is vacuous";
+
+  // Capture -> resume -> capture: the resumed run's step-6 image equals the
+  // uninterrupted run's byte for byte.
+  SimulationConfig rcfg = cfg;
+  rcfg.resume_from = step3;
+  rcfg.checkpoint_out = (dir_ / "resumed.ckpt").string();
+  const RunOutputs resumed = run(rcfg, platform, mc, 4, mw, "resume");
+  EXPECT_EQ(slurp(rcfg.checkpoint_out), slurp(image_))
+      << "step-6 image diverged after resume";
+  expect_bitwise_equal(golden.result.physics, resumed.result.physics);
+  EXPECT_EQ(golden.metrics, resumed.metrics);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -261,6 +263,101 @@ TEST_F(PvmSystemTest, AccountsTraffic) {
   engine.run();
   EXPECT_EQ(pvm.messages_sent(), 1u);
   EXPECT_EQ(pvm.bytes_sent(), 8u);
+}
+
+// -- delivery under fault injection: corruption verdict and checksum stamp --
+
+/// Reference FNV-1a, independent of PackBuffer::checksum().
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Sends each body from task 0 to task 1 (tag = index) on a platform with
+/// the given message fault rates; returns everything task 1 receives.
+std::vector<Message> deliver_all(const std::vector<PackBuffer>& bodies,
+                                 double drop, double dup, double corrupt) {
+  Engine engine;
+  PlatformSpec p = test_platform();
+  p.fault.seed = 5;
+  p.fault.drop_rate = drop;
+  p.fault.duplicate_rate = dup;
+  p.fault.corrupt_rate = corrupt;
+  Machine machine(engine, p, 2);
+  PvmSystem pvm(machine);
+  std::vector<Message> got;
+  pvm.spawn(0, [&](PvmTask& t) -> Task<void> {
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+      co_await t.send(1, static_cast<int>(i), bodies[i]);
+    }
+  });
+  pvm.spawn(1, [&](PvmTask& t) -> Task<void> {
+    for (;;) {
+      auto m = co_await t.recv_timeout(kAny, kAny, 1.0);
+      if (!m) co_return;
+      got.push_back(std::move(*m));
+    }
+  });
+  engine.run();
+  return got;
+}
+
+TEST(PvmFaultDelivery, CorruptionFlagsNonEmptyBodiesWithSentChecksum) {
+  std::vector<PackBuffer> bodies(4);
+  bodies[0].pack_i32(7);                                // inline storage
+  bodies[1].pack_f64_array(std::vector<double>(64, 1.5));  // heap storage
+  bodies[2].pack_string("x");
+  // bodies[3] stays empty: nothing to flip.
+  const std::vector<Message> got = deliver_all(bodies, 0.0, 0.0, 1.0);
+  ASSERT_EQ(got.size(), bodies.size());
+  for (const Message& m : got) {
+    const PackBuffer& sent = bodies.at(static_cast<std::size_t>(m.tag));
+    SCOPED_TRACE("tag " + std::to_string(m.tag));
+    // The stamp is the FNV-1a of the bytes as sent, not as received.
+    EXPECT_EQ(m.checksum, fnv1a(sent.raw_bytes()));
+    EXPECT_EQ(m.stamped_checksum(), m.checksum);
+    if (sent.raw_size() == 0) {
+      EXPECT_FALSE(m.corrupted);
+    } else {
+      EXPECT_TRUE(m.corrupted);
+      EXPECT_NE(fnv1a(m.body.raw_bytes()), m.checksum);
+    }
+  }
+}
+
+TEST(PvmFaultDelivery, CleanDeliveriesCarryNoChecksumInFlight) {
+  std::vector<PackBuffer> bodies(40);
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    bodies[i].pack_u64(i);
+    if (i % 3 == 0) bodies[i].pack_f64_array(std::vector<double>(i + 9, 0.25));
+  }
+  const std::vector<Message> got = deliver_all(bodies, 0.2, 0.3, 0.0);
+  ASSERT_FALSE(got.empty());
+  ASSERT_NE(got.size(), bodies.size());  // some dropped or duplicated
+  for (const Message& m : got) {
+    SCOPED_TRACE("tag " + std::to_string(m.tag));
+    EXPECT_FALSE(m.corrupted);
+    EXPECT_EQ(m.checksum, 0u);
+    // Owed, not lost: a checkpoint would record the hash of the intact body.
+    EXPECT_EQ(m.stamped_checksum(), fnv1a(m.body.raw_bytes()));
+    EXPECT_EQ(m.stamped_checksum(),
+              fnv1a(bodies.at(static_cast<std::size_t>(m.tag)).raw_bytes()));
+  }
+}
+
+TEST(PvmFaultDelivery, FaultFreeDeliveriesOweNoChecksum) {
+  std::vector<PackBuffer> bodies(3);
+  for (auto& b : bodies) b.pack_string("payload");
+  const std::vector<Message> got = deliver_all(bodies, 0.0, 0.0, 0.0);
+  ASSERT_EQ(got.size(), bodies.size());
+  for (const Message& m : got) {
+    EXPECT_FALSE(m.corrupted);
+    EXPECT_EQ(m.stamped_checksum(), 0u);
+  }
 }
 
 }  // namespace
