@@ -177,12 +177,15 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
                                    PairUpdatePath path) {
   used_cells_ = false;
   if (cutoff <= 0.0) {
+    // active() stays the whole domain: a new version only when it was not.
+    if (materialized_) ++generation_;
     materialized_ = false;
     active_.clear();
     active_.shrink_to_fit();
     return domain_.size();
   }
   materialized_ = true;
+  ++generation_;
   ++stats_.updates;
   const double c2 = cutoff * cutoff;
   bool try_cells = false;

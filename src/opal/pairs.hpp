@@ -116,6 +116,7 @@ class ServerDomain {
   /// domain (guaranteed by the disjoint distribution).
   void adopt(std::span<const PairIdx> extra) {
     domain_.insert(domain_.end(), extra.begin(), extra.end());
+    ++generation_;
     membership_ready_ = false;
     verlet_ready_ = false;
   }
@@ -133,6 +134,11 @@ class ServerDomain {
   bool last_update_used_cells() const noexcept { return used_cells_; }
   /// Cumulative host-path counters since construction/restore.
   const PairUpdateStats& stats() const noexcept { return stats_; }
+  /// Version of active(), bumped by adopt(), restore() and every update()
+  /// that may change the list (a cut-off rebuild, or leaving one): two
+  /// evaluations at the same generation saw the same pairs.  Host memo key
+  /// only; never serialized.
+  std::uint64_t generation() const noexcept { return generation_; }
 
   // -- checkpoint/restart (src/ckpt) ---------------------------------------
   // Only the result state is serialized: static domain, materialized active
@@ -150,6 +156,7 @@ class ServerDomain {
     domain_ = std::move(domain);
     active_ = std::move(active);
     materialized_ = materialized;
+    ++generation_;
     used_cells_ = false;
     stats_ = {};
     membership_ready_ = false;
@@ -178,6 +185,7 @@ class ServerDomain {
   bool materialized_ = false;
   bool used_cells_ = false;
   PairUpdateStats stats_;
+  std::uint64_t generation_ = 0;
 
   // Membership index over the static domain (built lazily, invalidated by
   // adopt()).

@@ -1,7 +1,10 @@
 #include "opal/parallel.hpp"
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
@@ -23,6 +26,7 @@
 #include "util/crc32.hpp"
 #include "util/env.hpp"
 #include "util/fatal.hpp"
+#include "util/thread_pool.hpp"
 
 namespace opalsim::opal {
 
@@ -44,12 +48,52 @@ struct ServerState {
   /// under any re-issue policy (a redone handoff round must not graft the
   /// same pairs twice).
   std::uint64_t adopt_epoch = 0;
+  /// The last nbint evaluation (its gradient is `grad`), keyed by the exact
+  /// bytes of the coordinates it ran on and the domain generation it ran
+  /// over.  Host-only: never serialized, a resumed server starts cold.
+  struct NbintMemo {
+    bool valid = false;
+    std::uint64_t generation = 0;
+    std::vector<double> coords;
+    double evdw = 0.0, ecoul = 0.0;
+  } nbint;
 
   std::size_t working_set_bytes() const {
     return replica.n() * (sizeof(MassCenter) + sizeof(Vec3)) +
            domain.list_bytes();
   }
+
+  /// Leaves the nonbonded energies and gradient of this server's active
+  /// pairs at `coords` in `nbint` and `grad`, evaluating unless the memo
+  /// already holds exactly that evaluation.  A pure function of `coords`
+  /// and the active list that writes only this server's state, so servers
+  /// may run it concurrently.
+  void evaluate_nbint(const std::vector<double>& coords) {
+    if (nbint.valid && nbint.generation == domain.generation() &&
+        nbint.coords.size() == coords.size() &&
+        std::memcmp(nbint.coords.data(), coords.data(),
+                    coords.size() * sizeof(double)) == 0) {
+      return;
+    }
+    replica.set_flat_coordinates(coords);
+    soa.refresh_positions(replica);
+    std::fill(grad.begin(), grad.end(), Vec3{});
+    nbint.evdw = 0.0;
+    nbint.ecoul = 0.0;
+    nonbonded_batch(soa, domain.active(), nbint.evdw, nbint.ecoul, grad);
+    nbint.coords = coords;
+    nbint.generation = domain.generation();
+    nbint.valid = true;
+  }
 };
+
+/// Fewest active pairs an nbint round must hold before its server kernels
+/// fan out over host threads.  Waking the parked workers and joining them
+/// costs ~15-25 us (measured on a 4-vCPU host); at ~6.4 ns/pair a
+/// 2^16-pair round is ~0.4 ms of kernel, so the overhead stays near 5%, and
+/// it grows toward the whole saving on smaller rounds.  middleware_ft's
+/// 36-centre rounds (630 pairs) never reach it.
+constexpr std::uint64_t kFanoutMinPairs = std::uint64_t{1} << 16;
 
 // -- checkpoint/restart helpers ---------------------------------------------
 
@@ -281,18 +325,14 @@ ParallelRunResult ParallelOpal::run() {
       [&servers](pvm::PackBuffer args, sciddle::ServerContext& ctx)
           -> sim::Task<pvm::PackBuffer> {
         ServerState& st = servers[ctx.server_index];
-        st.replica.set_flat_coordinates(args.unpack_f64_array());
-        st.soa.refresh_positions(st.replica);
-        std::fill(st.grad.begin(), st.grad.end(), Vec3{});
-        double evdw = 0.0, ecoul = 0.0;
-        nonbonded_batch(st.soa, st.domain.active(), evdw, ecoul, st.grad);
+        st.evaluate_nbint(args.unpack_f64_array());
         const std::uint64_t m = st.domain.active_size();
         st.pairs_evaluated += m;
         co_await ctx.task.cpu().compute(OpMixes::nbint_pair * m,
                                         st.working_set_bytes());
         pvm::PackBuffer out;  // eq. (9): energies + 3n gradient components
-        out.pack_f64(evdw);
-        out.pack_f64(ecoul);
+        out.pack_f64(st.nbint.evdw);
+        out.pack_f64(st.nbint.ecoul);
         std::vector<double> flat(3 * st.replica.n());
         for (std::size_t i = 0; i < st.replica.n(); ++i) {
           flat[3 * i] = st.grad[i].x;
@@ -328,6 +368,49 @@ ParallelRunResult ParallelOpal::run() {
   RunMetrics& metrics = result.metrics;
 
   std::uint64_t failover_epoch = 0;
+
+  // Host-parallel nbint rounds (DESIGN.md, "Host-parallel server rounds"):
+  // before the client issues a large enough round, every live server's
+  // kernel runs on the pool and lands in its memo; the DES then runs the
+  // handlers in unchanged virtual-time order and each finds its result
+  // there.  The pool is created on the first round that qualifies.
+  std::unique_ptr<util::ThreadPool> nbint_pool;
+  auto warm_nbint = [&](const std::vector<double>& coords) {
+    // Inside a pooled sweep the host's cores are already busy.
+    if (util::ThreadPool::in_dispatch()) return;
+    std::vector<ServerState*> live;
+    std::uint64_t pairs = 0;
+    for (int s = 0; s < num_servers_; ++s) {
+      if (!rpc.server_alive(s)) continue;
+      live.push_back(&servers[s]);
+      pairs += servers[s].domain.active_size();
+    }
+    if (live.size() < 2 || pairs < kFanoutMinPairs) return;
+    if (!nbint_pool) {
+      // Participants are the workers plus this thread: never more than
+      // there are servers or host threads.
+      const unsigned participants =
+          std::min(static_cast<unsigned>(live.size()),
+                   util::ThreadPool::default_threads());
+      if (participants < 2) return;
+      nbint_pool = std::make_unique<util::ThreadPool>(participants - 1);
+    }
+    // dispatch_indexed directly: parallel_for_indexed would run a
+    // one-worker pool inline, and evaluate_nbint has nothing to throw (the
+    // coordinate count is fixed per run).
+    struct Round {
+      ServerState* const* live;
+      const std::vector<double>* coords;
+    } round{live.data(), &coords};
+    nbint_pool->dispatch_indexed(
+        live.size(),
+        [](void* ctx, std::size_t k) {
+          const Round& r = *static_cast<const Round*>(ctx);
+          r.live[k]->evaluate_nbint(*r.coords);
+        },
+        &round);
+    ++result.host_fanout_rounds;
+  };
 
   // Checkpoint accounting (serialized into every image, self-inclusively).
   std::uint64_t ckpt_images = 0;
@@ -639,6 +722,7 @@ ParallelRunResult ParallelOpal::run() {
         }
 
         replies.clear();
+        warm_nbint(coords);
         const sciddle::CallAllStats st =
             co_await rpc.call_all(client, "nbint", coord_args(), &replies);
         if (!st.failed_servers.empty()) {

@@ -8,6 +8,10 @@
 //   2. "nbint" RPC: coordinates out; each server evaluates the van der Waals
 //      and Coulomb energies and the gradient over its active list; the reply
 //      carries two energies plus the 3n gradient components (eq. 9).
+//      On the host, a round large enough to pay for it evaluates every live
+//      server's kernel in parallel before the DES runs the handlers, which
+//      then find their results in a per-server memo; virtual time, replies
+//      and physics are unchanged (DESIGN.md, "Host-parallel server rounds").
 //   3. The client sums the partial results, evaluates the bonded terms,
 //      integrates, and updates the observables (the sequential part, eq. 5).
 //
@@ -16,6 +20,7 @@
 // RunMetrics is the measured breakdown the paper's Figures 1-2 plot.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mach/platform.hpp"
@@ -33,6 +38,10 @@ struct ParallelRunResult {
   std::vector<double> server_busy;
   /// Counted MFlop per server as each platform's monitor reports them.
   std::vector<double> server_counted_mflop;
+  /// Host-only: nbint rounds whose server kernels ran in parallel on host
+  /// threads.  It depends on the host and on the calling thread, so it
+  /// stays out of RunMetrics, traces, metrics snapshots and images.
+  std::uint64_t host_fanout_rounds = 0;
 };
 
 class ParallelOpal {

@@ -227,4 +227,34 @@ TEST(ServerDomain, ListBytesMatchesPaperConstant) {
   EXPECT_EQ(dom.list_bytes(), 190u * 8u);
 }
 
+// The generation versions active(): every change to the list must bump it
+// (the nbint memo trusts it), and a no-cut-off update that leaves the list
+// the whole domain need not.
+TEST(ServerDomain, GenerationVersionsTheActiveList) {
+  SyntheticSpec s;
+  s.n_solute = 40;
+  auto mc = make_synthetic_complex(s);
+  auto ds = build_domains(40, 2, DistributionStrategy::Folded, 1);
+  ServerDomain dom(ds[0]);
+  std::uint64_t g = dom.generation();
+  auto bumped = [&] {
+    const bool changed = dom.generation() != g;
+    g = dom.generation();
+    return changed;
+  };
+  dom.update(mc, -1.0);
+  EXPECT_FALSE(bumped()) << "no cut-off: active() stays the domain";
+  dom.update(mc, 6.0);
+  EXPECT_TRUE(bumped()) << "cut-off rebuild";
+  dom.update(mc, 6.0);
+  EXPECT_TRUE(bumped()) << "every rebuild, even to the same list";
+  dom.update(mc, -1.0);
+  EXPECT_TRUE(bumped()) << "leaving the cut-off list";
+  const std::vector<PairIdx> extra(ds[1].begin(), ds[1].begin() + 3);
+  dom.adopt(extra);
+  EXPECT_TRUE(bumped()) << "adopt grows the unmaterialized active()";
+  dom.restore(ds[0], {}, false);
+  EXPECT_TRUE(bumped()) << "restore";
+}
+
 }  // namespace
