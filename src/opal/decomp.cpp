@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
+#include "opal/pairs.hpp"
 #include "opal/trajectory.hpp"
 #include "opal/serial.hpp"
 #include "pvm/pvm_system.hpp"
@@ -66,9 +67,11 @@ struct DecompServerState {
   std::uint64_t pairs_checked = 0;
   std::uint64_t pairs_evaluated = 0;
 
+  /// Model bytes for the cache model: pair lists at kModelPairBytes, not
+  /// the host struct's size.
   std::size_t working_set_bytes() const {
     return local.size() * (sizeof(MassCenter) + sizeof(Vec3)) +
-           (candidates.size() + active.size()) * sizeof(PairIdx);
+           (candidates.size() + active.size()) * kModelPairBytes;
   }
 
   void apply_coords(const std::vector<double>& flat) {
@@ -184,6 +187,7 @@ ParallelRunResult run_decomposed(Method method,
   cfg.validate();
   if (num_servers <= 0)
     throw std::invalid_argument("run_decomposed: need at least one server");
+  require_pair_indexable(mc.n(), "run_decomposed");
 
   // Process-default engine (OPALSIM_ENGINE / OPALSIM_LPS); output bytes are
   // engine-independent — see sim/parallel_engine.hpp.
@@ -222,7 +226,7 @@ ParallelRunResult run_decomposed(Method method,
               std::uint32_t i = st.local[ai];
               std::uint32_t j = st.local[bi];
               if (i > j) std::swap(i, j);
-              st.candidates.push_back(PairIdx{i, j});
+              st.candidates.push_back(make_pair_idx(i, j));
             }
           }
         } else {
@@ -235,8 +239,9 @@ ParallelRunResult run_decomposed(Method method,
           // Pairs (i < j) with i in the row band, j in the column band.
           for (std::uint64_t i = rlo; i < rhi; ++i) {
             for (std::uint64_t j = std::max(clo, i + 1); j < chi; ++j) {
-              st.candidates.push_back(PairIdx{static_cast<std::uint32_t>(i),
-                                              static_cast<std::uint32_t>(j)});
+              st.candidates.push_back(
+                  make_pair_idx(static_cast<std::uint32_t>(i),
+                                static_cast<std::uint32_t>(j)));
             }
           }
         }

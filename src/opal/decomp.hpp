@@ -40,7 +40,8 @@ std::pair<int, int> fd_grid(int p);
 
 /// Runs the parallel Opal with the chosen parallelization method on the
 /// given platform.  RD dispatches to ParallelOpal; SD/FD use their own
-/// client/server drivers over the same Sciddle middleware.
+/// client/server drivers over the same Sciddle middleware.  Every method
+/// throws std::invalid_argument for a complex over kMaxCenters centres.
 ParallelRunResult run_with_method(Method method,
                                   const mach::PlatformSpec& platform,
                                   MolecularComplex mc, int num_servers,

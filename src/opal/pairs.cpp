@@ -137,37 +137,37 @@ int pair_owner(DistributionStrategy strategy, std::uint64_t k,
   return 0;
 }
 
+void require_pair_indexable(std::size_t n, const char* who) {
+  if (n > kMaxCenters) {
+    throw std::invalid_argument(
+        std::string(who) + ": " + std::to_string(n) +
+        " centres exceed the pair-index limit of " +
+        std::to_string(kMaxCenters));
+  }
+}
+
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed) {
   if (p <= 0) throw std::invalid_argument("build_domains: p must be > 0");
   if (n < 2) throw std::invalid_argument("build_domains: need >= 2 centers");
-  std::vector<std::vector<PairIdx>> domains(p);
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  // First pass: exact per-server counts.  The old total/p + 1 heuristic
-  // over-allocates badly for skewed strategies (EvenMultiplierBug puts
-  // everything on half the servers) and still reallocates for the heavy
-  // ones.  Owners are memoized in a compact buffer when p fits so the
-  // hashed strategies are not evaluated twice.
+  require_pair_indexable(n, "build_domains");
+  // Count pass, then fill pass: exact per-server reservations without
+  // keeping anything per pair in between (owners are recomputed).
   std::vector<std::uint64_t> counts(p, 0);
-  const bool memoize = p <= 65535;
-  std::vector<std::uint16_t> owners;
-  if (memoize) owners.resize(total);
   std::uint64_t k = 0;
   for (std::uint32_t i = 0; i + 1 < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      const int owner = pair_owner(strategy, k, i, j, n, p, seed);
-      ++counts[owner];
-      if (memoize) owners[k] = static_cast<std::uint16_t>(owner);
+      ++counts[pair_owner(strategy, k, i, j, n, p, seed)];
     }
   }
+  std::vector<std::vector<PairIdx>> domains(p);
   for (int s = 0; s < p; ++s) domains[s].reserve(counts[s]);
   k = 0;
   for (std::uint32_t i = 0; i + 1 < n; ++i) {
     for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      const int owner =
-          memoize ? owners[k] : pair_owner(strategy, k, i, j, n, p, seed);
-      domains[owner].push_back(PairIdx{i, j});
+      domains[pair_owner(strategy, k, i, j, n, p, seed)].push_back(
+          make_pair_idx(i, j));
     }
   }
   return domains;
@@ -364,7 +364,7 @@ bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
         const double dx = xi - sx_[j];
         const double dy = yi - sy_[j];
         const double dz = zi - sz_[j];
-        out[cnt] = PairIdx{i, j};
+        out[cnt] = make_pair_idx(i, j);
         cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
       }
     }
@@ -444,14 +444,14 @@ std::size_t ServerDomain::find_position(std::uint32_t i, std::uint32_t j,
     case Membership::LexComplete:
       return static_cast<std::size_t>(pair_rank(i, j, n));
     case Membership::SortedDomain: {
-      const PairIdx key{i, j};
+      const PairIdx key = make_pair_idx(i, j);
       const auto it =
           std::lower_bound(domain_.begin(), domain_.end(), key, lex_less);
       if (it == domain_.end() || it->i != i || it->j != j) return kNoPosition;
       return static_cast<std::size_t>(it - domain_.begin());
     }
     case Membership::Permuted: {
-      const PairIdx key{i, j};
+      const PairIdx key = make_pair_idx(i, j);
       const auto it = std::lower_bound(
           perm_.begin(), perm_.end(), key,
           [this](std::uint32_t t, const PairIdx& v) {

@@ -16,6 +16,7 @@
 // checked, the paper's O(n^2) model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -26,10 +27,32 @@
 
 namespace opalsim::opal {
 
+/// Largest complex the host pair lists can index: both pair indices are
+/// 16-bit.  The triangle at this size already holds 2.1G pairs (8.6 GB);
+/// the paper's largest complex has 6290 centres.
+inline constexpr std::size_t kMaxCenters = 65536;
+
+/// One unordered pair of mass centres, i < j.  Stored at 4 bytes so a host
+/// pair list costs half the paper's 2*4 bytes per pair (DESIGN.md, "Host
+/// execution engine").
 struct PairIdx {
-  std::uint32_t i, j;
+  std::uint16_t i, j;
   friend bool operator==(const PairIdx&, const PairIdx&) = default;
 };
+static_assert(sizeof(PairIdx) == 4);
+
+/// Bytes per pair the virtual-time cache model charges for a pair list:
+/// the paper's c = 2*4 (§2.6), independent of the host struct above.
+inline constexpr std::size_t kModelPairBytes = 8;
+
+/// PairIdx from wider indices; callers guarantee j < n <= kMaxCenters.
+inline PairIdx make_pair_idx(std::uint32_t i, std::uint32_t j) noexcept {
+  return PairIdx{static_cast<std::uint16_t>(i), static_cast<std::uint16_t>(j)};
+}
+
+/// Throws std::invalid_argument naming `who` when a complex of `n` centres
+/// is too large for 16-bit pair indices.
+void require_pair_indexable(std::size_t n, const char* who);
 
 /// How pairs are distributed among servers.
 enum class DistributionStrategy {
@@ -82,8 +105,11 @@ int pair_owner(DistributionStrategy strategy, std::uint64_t k,
                std::uint32_t i, std::uint32_t j, std::uint32_t n, int p,
                std::uint64_t seed);
 
-/// Enumerates all n(n-1)/2 pairs once and builds each server's static
-/// domain.  Deterministic in (n, p, strategy, seed).
+/// Enumerates all n(n-1)/2 pairs and builds each server's static domain:
+/// a count pass sizes every list exactly, a fill pass writes it; both
+/// evaluate pair_owner, so nothing per pair is kept between them.
+/// Deterministic in (n, p, strategy, seed); throws std::invalid_argument
+/// for n > kMaxCenters.
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed);
@@ -125,9 +151,10 @@ class ServerDomain {
   std::size_t active_size() const noexcept {
     return materialized_ ? active_.size() : domain_.size();
   }
-  /// Bytes of list storage (paper's space model: 2*4 bytes per pair).
+  /// Bytes of list storage in the paper's space model (kModelPairBytes
+  /// per pair), the figure the virtual-time cache model sees.
   std::size_t list_bytes() const noexcept {
-    return active_size() * sizeof(PairIdx);
+    return active_size() * kModelPairBytes;
   }
   /// True when the last update() went through the cell-list path (bench
   /// and test introspection).

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -115,6 +116,7 @@ std::vector<Vec3> unflatten_vec3(const std::vector<double>& flat) {
   return v;
 }
 
+/// Images keep pairs as u32 arrays: flatten widens, unflatten narrows.
 std::vector<std::uint32_t> flatten_pairs(const std::vector<PairIdx>& ps) {
   std::vector<std::uint32_t> flat;
   flat.reserve(2 * ps.size());
@@ -125,10 +127,25 @@ std::vector<std::uint32_t> flatten_pairs(const std::vector<PairIdx>& ps) {
   return flat;
 }
 
-std::vector<PairIdx> unflatten_pairs(const std::vector<std::uint32_t>& flat) {
+/// Restores a pair array from an image of an `n`-centre run.  Every pair
+/// must satisfy i < j < n: anything else would index out of bounds in the
+/// kernel, or wrap on narrowing.  `what` names the array in the error.
+std::vector<PairIdx> unflatten_pairs(const std::vector<std::uint32_t>& flat,
+                                     std::uint32_t n, const std::string& what) {
+  if (flat.size() % 2 != 0) {
+    util::fatal("ckpt", "bad checkpoint image: " + what +
+                            " has an odd-length pair array");
+  }
   std::vector<PairIdx> ps(flat.size() / 2);
   for (std::size_t k = 0; k < ps.size(); ++k) {
-    ps[k] = PairIdx{flat[2 * k], flat[2 * k + 1]};
+    const std::uint32_t i = flat[2 * k], j = flat[2 * k + 1];
+    if (!(i < j && j < n)) {
+      util::fatal("ckpt", "bad checkpoint image: " + what + " pair " +
+                              std::to_string(k) + " (" + std::to_string(i) +
+                              ", " + std::to_string(j) +
+                              ") breaks i < j < " + std::to_string(n));
+    }
+    ps[k] = make_pair_idx(i, j);
   }
   return ps;
 }
@@ -221,6 +238,7 @@ ParallelOpal::ParallelOpal(mach::PlatformSpec platform, MolecularComplex mc,
   cfg_.validate();
   if (num_servers <= 0)
     throw std::invalid_argument("ParallelOpal: need at least one server");
+  require_pair_indexable(mc_.n(), "ParallelOpal");
   if (cfg_.kill_server >= num_servers)
     throw std::invalid_argument("ParallelOpal: kill_server out of range");
   if (cfg_.kill_server >= 0 && cfg_.kill_at_step >= 0 &&
@@ -354,7 +372,7 @@ ParallelRunResult ParallelOpal::run() {
           st.adopt_epoch = epoch;
           std::vector<PairIdx> extra(flat.size() / 2);
           for (std::size_t k = 0; k < extra.size(); ++k) {
-            extra[k] = PairIdx{flat[2 * k], flat[2 * k + 1]};
+            extra[k] = make_pair_idx(flat[2 * k], flat[2 * k + 1]);
           }
           st.domain.adopt(extra);
         }
@@ -850,7 +868,9 @@ ParallelRunResult ParallelOpal::run() {
     for (int sv = 0; sv < num_servers_; ++sv) {
       const ckpt::ServerSnap& ss = s.servers.at(static_cast<std::size_t>(sv));
       ServerState& st = servers[static_cast<std::size_t>(sv)];
-      st.domain.restore(unflatten_pairs(ss.domain), unflatten_pairs(ss.active),
+      const std::string tag = "server " + std::to_string(sv);
+      st.domain.restore(unflatten_pairs(ss.domain, n, tag + " domain"),
+                        unflatten_pairs(ss.active, n, tag + " active list"),
                         ss.materialized);
       st.pairs_checked = ss.pairs_checked;
       st.pairs_evaluated = ss.pairs_evaluated;
@@ -862,7 +882,8 @@ ParallelRunResult ParallelOpal::run() {
     if (middleware_.retry.enabled) {
       assignment.assign(static_cast<std::size_t>(num_servers_), {});
       for (std::size_t i = 0; i < s.assignment.size(); ++i) {
-        assignment.at(i) = unflatten_pairs(s.assignment[i]);
+        assignment.at(i) = unflatten_pairs(
+            s.assignment[i], n, "assignment " + std::to_string(i));
       }
     }
     ckpt_images = s.images_written;

@@ -46,6 +46,8 @@ struct ParallelRunResult {
 
 class ParallelOpal {
  public:
+  /// Throws std::invalid_argument for a bad server count or kill target,
+  /// or a complex over kMaxCenters centres.
   ParallelOpal(mach::PlatformSpec platform, MolecularComplex mc,
                int num_servers, SimulationConfig cfg,
                sciddle::Options middleware = {});

@@ -67,6 +67,7 @@ void SteepestDescent::advance(MolecularComplex& mc, double energy,
 SerialOpal::SerialOpal(MolecularComplex mc, SimulationConfig cfg)
     : mc_(std::move(mc)), cfg_(cfg) {
   cfg_.validate();
+  require_pair_indexable(mc_.n(), "SerialOpal");
 }
 
 SimResult SerialOpal::run() {

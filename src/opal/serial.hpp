@@ -83,6 +83,7 @@ void fill_observables(const MolecularComplex& mc,
 
 class SerialOpal {
  public:
+  /// Throws std::invalid_argument for a complex over kMaxCenters centres.
   SerialOpal(MolecularComplex mc, SimulationConfig cfg);
 
   /// Runs the full simulation on the host (no virtual timing); returns the

@@ -74,7 +74,7 @@ struct Options {
   Tracer* tracer = nullptr;
   /// Fault-tolerance policy; disabled by default, in which case the wire
   /// protocol is bit-for-bit the seed middleware.
-  RetryPolicy retry;
+  RetryPolicy retry{};
 };
 
 /// Environment a server-side handler runs in.

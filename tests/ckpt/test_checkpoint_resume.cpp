@@ -322,6 +322,72 @@ TEST_F(CheckpointResumeTest, FingerprintMismatchRefusesResume) {
   }
 }
 
+// An image whose pair arrays break i < j < n must be refused on resume,
+// never read out of bounds by the kernel or narrowed into wrong pairs.
+TEST_F(CheckpointResumeTest, RefusesPairsOutsideTheComplex) {
+  opalsim::opal::SyntheticSpec spec;
+  spec.n_solute = 20;
+  spec.n_water = 40;
+  const MolecularComplex mc = opalsim::opal::make_synthetic_complex(spec);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  SimulationConfig cfg;
+  cfg.steps = 4;
+  cfg.cutoff = 6.0;
+  cfg.checkpoint_at_step = 2;
+  cfg.checkpoint_out = image_;
+  const opalsim::sciddle::Options mw = ft_middleware();
+  ParallelOpal golden(opalsim::mach::fast_cops(), mc, 3, cfg, mw);
+  (void)golden.run();
+  const opalsim::ckpt::RunSnapshot good = decode_file(image_);
+  ASSERT_FALSE(good.servers.at(1).active.empty());
+  ASSERT_FALSE(good.assignment.at(0).empty());
+
+  struct Breakage {
+    const char* name;
+    const char* message;  ///< names the refused array
+    void (*apply)(opalsim::ckpt::RunSnapshot&, std::uint32_t n);
+  };
+  const Breakage breakages[] = {
+      {"domain j = n", "bad checkpoint image: server 0 domain pair",
+       [](opalsim::ckpt::RunSnapshot& s, std::uint32_t n_) {
+         s.servers.at(0).domain.back() = n_;
+       }},
+      {"odd-length active list",
+       "bad checkpoint image: server 1 active list has an odd-length",
+       [](opalsim::ckpt::RunSnapshot& s, std::uint32_t) {
+         s.servers.at(1).active.pop_back();
+       }},
+      {"assignment i = j", "bad checkpoint image: assignment 0 pair 0",
+       [](opalsim::ckpt::RunSnapshot& s, std::uint32_t) {
+         s.assignment.at(0)[0] = s.assignment.at(0)[1];
+       }},
+  };
+  for (const Breakage& b : breakages) {
+    SCOPED_TRACE(b.name);
+    opalsim::ckpt::RunSnapshot bad = good;
+    b.apply(bad, n);
+    const std::string path = (dir_ / "bad.ckpt").string();
+    {
+      const std::vector<std::uint8_t> bytes = opalsim::ckpt::encode(bad);
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    SimulationConfig rcfg = cfg;
+    rcfg.checkpoint_out.clear();
+    rcfg.resume_from = path;
+    ParallelOpal resumed(opalsim::mach::fast_cops(), mc, 3, rcfg, mw);
+    try {
+      (void)resumed.run();
+      ADD_FAILURE() << "resume accepted a bad image";
+    } catch (const opalsim::util::FatalError& e) {
+      EXPECT_EQ(e.subsystem(), "ckpt");
+      EXPECT_NE(std::string(e.what()).find(b.message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST_F(CheckpointResumeTest, CorruptedResidueStampsSentChecksums) {
   // Payload corruption plus duplication, with a retry timeout far below the
   // step time so retransmitted replies pile up as mailbox residue.  Seed 1

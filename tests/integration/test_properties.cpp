@@ -59,9 +59,10 @@ INSTANTIATE_TEST_SUITE_P(
     AllPlatformsAndSizes, PingPongProperty,
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
                        ::testing::Values(0u, 4096u, 1u << 20)),
-    [](const auto& info) {
-      return std::string(platform_short_name(std::get<0>(info.param))) + "_" +
-             std::to_string(std::get<1>(info.param)) + "B";
+    [](const auto& param_info) {
+      return std::string(
+                 platform_short_name(std::get<0>(param_info.param))) +
+             "_" + std::to_string(std::get<1>(param_info.param)) + "B";
     });
 
 // ---------------------------------------------------------------------------
@@ -112,9 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
     PlatformsTimesServers, BreakdownProperty,
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
                        ::testing::Values(1, 2, 5, 7)),
-    [](const auto& info) {
-      return std::string(platform_short_name(std::get<0>(info.param))) +
-             "_p" + std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::string(
+                 platform_short_name(std::get<0>(param_info.param))) +
+             "_p" + std::to_string(std::get<1>(param_info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -151,10 +153,10 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(1, 5),
         ::testing::Values(opal::DistributionStrategy::PseudoRandomHistorical,
                           opal::DistributionStrategy::Folded)),
-    [](const auto& info) {
-      const double c = std::get<0>(info.param);
-      const int u = std::get<1>(info.param);
-      const bool hist = std::get<2>(info.param) ==
+    [](const auto& param_info) {
+      const double c = std::get<0>(param_info.param);
+      const int u = std::get<1>(param_info.param);
+      const bool hist = std::get<2>(param_info.param) ==
                         opal::DistributionStrategy::PseudoRandomHistorical;
       return std::string(c < 0 ? "NoCut" : (c < 10 ? "Cut6" : "Cut12")) +
              "_u" + std::to_string(u) + (hist ? "_hist" : "_folded");
@@ -198,9 +200,9 @@ TEST_P(ModelMonotonicityProperty, TotalRespondsCorrectlyToParameters) {
 
 INSTANTIATE_TEST_SUITE_P(AllPlatforms, ModelMonotonicityProperty,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               platform_short_name(info.param));
+                               platform_short_name(param_info.param));
                          });
 
 }  // namespace

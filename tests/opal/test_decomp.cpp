@@ -3,22 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "mach/platforms_db.hpp"
+#include "opal/pairs.hpp"
+#include "opal/parallel.hpp"
 #include "opal/serial.hpp"
 
 namespace {
 
+using opalsim::opal::build_domains;
 using opalsim::opal::call_bytes_per_step;
 using opalsim::opal::fd_grid;
+using opalsim::opal::kMaxCenters;
+using opalsim::opal::kModelPairBytes;
+using opalsim::opal::MassCenter;
 using opalsim::opal::make_synthetic_complex;
 using opalsim::opal::Method;
 using opalsim::opal::MolecularComplex;
+using opalsim::opal::ParallelOpal;
 using opalsim::opal::run_with_method;
 using opalsim::opal::SerialOpal;
 using opalsim::opal::SimResult;
 using opalsim::opal::SimulationConfig;
 using opalsim::opal::SyntheticSpec;
+using opalsim::opal::Vec3;
 
 MolecularComplex mc_of(std::size_t solute, std::uint64_t seed = 42) {
   SyntheticSpec s;
@@ -102,8 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
         DecompCase{Method::ForceDecomposition, 7, 9.0, 2},
         DecompCase{Method::ForceDecomposition, 4, -1.0, 4},
         DecompCase{Method::ReplicatedData, 5, 9.0, 2}),
-    [](const auto& info) {
-      const auto& c = info.param;
+    [](const auto& param_info) {
+      const auto& c = param_info.param;
       std::string name = c.method == Method::SpaceDecomposition   ? "SD"
                          : c.method == Method::ForceDecomposition ? "FD"
                                                                   : "RD";
@@ -191,6 +202,83 @@ TEST(Decomp, RejectsZeroServers) {
   EXPECT_THROW(run_with_method(Method::SpaceDecomposition,
                                opalsim::mach::fast_cops(), mc_of(20), 0, cfg),
                std::invalid_argument);
+}
+
+TEST(Decomp, RejectsComplexBeyondPairIndexLimit) {
+  // Every entry point refuses before it allocates a pair list.
+  MolecularComplex mc;
+  mc.centers.resize(kMaxCenters + 1);
+  SimulationConfig cfg;
+  cfg.steps = 1;
+  for (Method m : {Method::ReplicatedData, Method::SpaceDecomposition,
+                   Method::ForceDecomposition}) {
+    EXPECT_THROW(run_with_method(m, opalsim::mach::fast_cops(), mc, 2, cfg),
+                 std::invalid_argument)
+        << to_string(m);
+  }
+  EXPECT_THROW(ParallelOpal(opalsim::mach::fast_cops(), mc, 2, cfg),
+               std::invalid_argument);
+  EXPECT_THROW(SerialOpal(mc, cfg), std::invalid_argument);
+}
+
+/// A run's virtual-time breakdown, recorded while PairIdx was 8 bytes.
+struct PinnedRun {
+  Method method;
+  double par_update, par_nbint, seq_comp, sync, idle, wall;
+  std::uint64_t pairs_checked, pairs_evaluated;
+  std::vector<double> server_busy;
+};
+
+// The cache model charges pair lists at the paper's 2*4 bytes per pair, not
+// at the host struct's 4.  On the T3E (96 KB cache), 210 centres over two
+// servers put a server of every method above the cache at 8 B/pair and
+// inside it at 4 B/pair, so charging the host size moves these values.
+TEST(ModelPairBytes, CacheModelChargesPaperBytesPerPair) {
+  const auto t3e = opalsim::mach::cray_t3e900();
+  const MolecularComplex mc = mc_of(70);
+  ASSERT_EQ(mc.n(), 210u);
+  SimulationConfig cfg;
+  cfg.steps = 2;
+  cfg.cutoff = -1.0;
+
+  // RD's server 0 straddles the cache: the guard is not vacuous.
+  const auto domains = build_domains(210, 2, cfg.strategy, cfg.seed);
+  const std::size_t centres = 210 * (sizeof(MassCenter) + sizeof(Vec3));
+  const std::size_t cache = t3e.cpu.memory.cache_bytes;
+  EXPECT_GT(centres + domains[0].size() * kModelPairBytes, cache);
+  EXPECT_LE(centres + domains[0].size() * 4, cache);
+
+  const std::vector<PinnedRun> pinned = {
+      {Method::ReplicatedData, 0.0036368175824175826, 0.018184087912087914,
+       0.00094442857142857002, 0.00015999999999999999, 0.0031017298901098844,
+       0.026828463956043949, 43890u, 43890u,
+       {0.025173415384615382, 0.018468395604395609}},
+      {Method::SpaceDecomposition, 0.0037137692307692314,
+       0.018568846153846155, 0.00093185714285714052, 0.00015999999999999999,
+       0.010821484615384614, 0.034873837142857141, 43890u, 43890u,
+       {0.033264000000000002, 0.011301230769230772}},
+      {Method::ForceDecomposition, 0.0037137692307692314,
+       0.018568846153846158, 0.00094442857142856829, 0.00015999999999999999,
+       0.011194615384615383, 0.035418579340659347, 43890u, 43890u,
+       {0.011088000000000002, 0.033477230769230773}},
+  };
+  for (const PinnedRun& want : pinned) {
+    SCOPED_TRACE(to_string(want.method));
+    const auto got = run_with_method(want.method, t3e, mc, 2, cfg);
+    EXPECT_DOUBLE_EQ(got.metrics.par_update, want.par_update);
+    EXPECT_DOUBLE_EQ(got.metrics.par_nbint, want.par_nbint);
+    EXPECT_DOUBLE_EQ(got.metrics.seq_comp, want.seq_comp);
+    EXPECT_DOUBLE_EQ(got.metrics.sync, want.sync);
+    EXPECT_DOUBLE_EQ(got.metrics.idle, want.idle);
+    EXPECT_DOUBLE_EQ(got.metrics.wall, want.wall);
+    EXPECT_EQ(got.metrics.pairs_checked, want.pairs_checked);
+    EXPECT_EQ(got.metrics.pairs_evaluated, want.pairs_evaluated);
+    ASSERT_EQ(got.server_busy.size(), want.server_busy.size());
+    for (std::size_t s = 0; s < want.server_busy.size(); ++s) {
+      EXPECT_DOUBLE_EQ(got.server_busy[s], want.server_busy[s])
+          << "server " << s;
+    }
+  }
 }
 
 TEST(Decomp, ToStringNamesAllMethods) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "opal/complex.hpp"
 
@@ -12,6 +13,8 @@ namespace {
 
 using opalsim::opal::build_domains;
 using opalsim::opal::DistributionStrategy;
+using opalsim::opal::kMaxCenters;
+using opalsim::opal::make_pair_idx;
 using opalsim::opal::make_synthetic_complex;
 using opalsim::opal::PairIdx;
 using opalsim::opal::ServerDomain;
@@ -66,8 +69,8 @@ INSTANTIATE_TEST_SUITE_P(
                       DistributionStrategy::RowCyclic,
                       DistributionStrategy::Folded,
                       DistributionStrategy::EvenMultiplierBug),
-    [](const auto& info) {
-      switch (info.param) {
+    [](const auto& param_info) {
+      switch (param_info.param) {
         case DistributionStrategy::PseudoRandomHistorical:
           return std::string("Historical");
         case DistributionStrategy::PseudoRandomUniform:
@@ -215,9 +218,21 @@ TEST(ServerDomain, UnionOfServerActiveListsEqualsSerialList) {
   EXPECT_EQ(got, expect);
 }
 
+TEST(BuildDomains, RejectsMoreCentresThanPairIndicesHold) {
+  EXPECT_THROW(build_domains(static_cast<std::uint32_t>(kMaxCenters + 1), 1,
+                             DistributionStrategy::RowCyclic, 1),
+               std::invalid_argument);
+  // The largest allowed complex's last pair still round-trips.
+  const auto n = static_cast<std::uint32_t>(kMaxCenters);
+  const PairIdx last = make_pair_idx(n - 2, n - 1);
+  EXPECT_EQ(last.i, n - 2);
+  EXPECT_EQ(last.j, n - 1);
+}
+
 TEST(ServerDomain, ListBytesMatchesPaperConstant) {
-  // Paper §2.6: pair list entries are 2*4 bytes.
-  static_assert(sizeof(PairIdx) == 8);
+  // Paper §2.6: pair list entries are 2*4 bytes in the model, whatever the
+  // host stores (4 bytes per pair).
+  static_assert(sizeof(PairIdx) == 4);
   auto ds = build_domains(20, 1, DistributionStrategy::Folded, 1);
   ServerDomain dom(std::move(ds[0]));
   SyntheticSpec s;

@@ -32,7 +32,9 @@ opal::MolecularComplex test_complex(std::size_t n_solute, std::size_t n_water,
 std::vector<opal::PairIdx> all_pairs(std::uint32_t n) {
   std::vector<opal::PairIdx> pairs;
   for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) pairs.push_back({i, j});
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      pairs.push_back(opal::make_pair_idx(i, j));
+    }
   }
   return pairs;
 }
@@ -136,8 +138,12 @@ TEST(SoABatch, GradientsAccumulateAcrossSharedCenters) {
   const auto mc = test_complex(30, 0, 5);
   const auto n = static_cast<std::uint32_t>(mc.n());
   std::vector<opal::PairIdx> pairs;
-  for (std::uint32_t j = 1; j < n; ++j) pairs.push_back({0, j});  // star
-  for (std::uint32_t j = 2; j < n; ++j) pairs.push_back({1, j});
+  for (std::uint32_t j = 1; j < n; ++j) {
+    pairs.push_back(opal::make_pair_idx(0, j));  // star
+  }
+  for (std::uint32_t j = 2; j < n; ++j) {
+    pairs.push_back(opal::make_pair_idx(1, j));
+  }
   expect_batch_identical(mc, pairs, opal::NbKernelMode::Blocked);
 }
 
