@@ -12,7 +12,9 @@
 // Plus the crossover sweep: a ladder of complex sizes timing both forced
 // update paths and recording which one the Auto heuristic picks — the
 // empirical basis for kDefaultCellCrossover / OPALSIM_CELL_CROSSOVER
-// (DESIGN.md, "Host execution engine").
+// (DESIGN.md, "Host execution engine") — and, per size, a p = 7 row timing
+// the seven listed subset domains' brute sweeps against the seven servers
+// of one SharedPairList, the path every cut-off run takes.
 //
 // Emits a machine-readable BENCH_host.json (path: OPALSIM_BENCH_JSON, or
 // ./BENCH_host.json) — including a MetricsRegistry snapshot of the host-path
@@ -98,9 +100,10 @@ UpdateResult measure_update(const opal::MolecularComplex& mc, double cutoff,
 
 struct CrossoverPoint {
   std::size_t n = 0;
+  int p = 1;             ///< servers: 1 = full triangle, else subset domains
   double brute_s = 0.0;
-  double cells_s = 0.0;  ///< steady state, path forced
-  bool auto_cells = false;  ///< what the Auto heuristic picked
+  double cells_s = 0.0;  ///< steady state: Verlet path forced / shared list
+  bool auto_cells = false;  ///< Auto picked the Verlet / shared list
   bool model_ok = false;    ///< Auto matched the faster path (or noise band)
   bool agree = false;       ///< active lists identical at this size
   double speedup() const {
@@ -108,14 +111,72 @@ struct CrossoverPoint {
   }
 };
 
+/// Servers of the subset-domain rows of the crossover sweep.
+constexpr int kSubsetServers = 7;
+
+/// Auto chose right: it took the measured-faster path, or the two paths are
+/// inside the 25% noise band where either choice costs nothing.
+bool choice_ok(const CrossoverPoint& pt) {
+  return pt.auto_cells == (pt.cells_s < pt.brute_s) ||
+         (pt.speedup() > 0.8 && pt.speedup() < 1.25);
+}
+
+/// One crossover row at p = kSubsetServers: an update round over every
+/// server, brute sweeps of the listed domains vs the shared list (steady
+/// state, best of 3 trials), with every server's list checked pair for pair.
+CrossoverPoint measure_subset_round(const opal::MolecularComplex& mc,
+                                    double cutoff, int inner) {
+  const auto un = static_cast<std::uint32_t>(mc.n());
+  const auto strategy = opal::DistributionStrategy::PseudoRandomHistorical;
+  std::vector<opal::ServerDomain> listed, shared;
+  for (auto& d : opal::build_domains(un, kSubsetServers, strategy, 1)) {
+    listed.emplace_back(std::move(d));
+  }
+  opal::SharedPairList list(un, kSubsetServers, strategy, 1);
+  const auto owned = opal::count_domains(un, kSubsetServers, strategy, 1);
+  for (int s = 0; s < kSubsetServers; ++s) {
+    shared.emplace_back(list, s, owned[static_cast<std::size_t>(s)]);
+  }
+  auto time_round = [&](std::vector<opal::ServerDomain>& servers,
+                        opal::PairUpdatePath path) {
+    for (auto& dom : servers) dom.update(mc, cutoff, path);  // warm
+    double best = std::numeric_limits<double>::max();
+    for (int trial = 0; trial < 3; ++trial) {
+      util::HostTimer t;
+      for (int k = 0; k < inner; ++k) {
+        for (auto& dom : servers) dom.update(mc, cutoff, path);
+      }
+      best = std::min(best, t.seconds() / inner);
+    }
+    return best;
+  };
+
+  CrossoverPoint pt;
+  pt.n = mc.n();
+  pt.p = kSubsetServers;
+  pt.brute_s = time_round(listed, opal::PairUpdatePath::Brute);
+  pt.cells_s = time_round(shared, opal::PairUpdatePath::Auto);
+  pt.agree = true;
+  for (int s = 0; s < kSubsetServers; ++s) {
+    const auto a = listed[static_cast<std::size_t>(s)].active();
+    const auto b = shared[static_cast<std::size_t>(s)].active();
+    pt.agree &= std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  pt.auto_cells =
+      opal::shared_list_enabled(cutoff, opal::PairUpdatePath::Auto, mc.n());
+  pt.model_ok = choice_ok(pt);
+  return pt;
+}
+
 /// Sweeps a ladder of complex sizes across the brute/cell-list crossover.
 /// Sizes are absolute, not OPALSIM_SCALE-scaled: the crossover is a property
 /// of n (at the synthetic complex's density and the production cut-off), and
-/// this sweep is what calibrates kDefaultCellCrossover.  Each point times
-/// both forced paths (steady state, best of 3 trials against host noise)
-/// and then asks the Auto heuristic on a fresh domain which path it picks.
-/// model_ok means Auto chose the measured-faster path, or the two paths are
-/// inside the 25% noise band where either choice costs nothing.
+/// this sweep is what calibrates kDefaultCellCrossover.  Each p = 1 point
+/// times both forced paths (steady state, best of 3 trials against host
+/// noise) and then asks the Auto heuristic on a fresh domain which path it
+/// picks (model_ok: choice_ok).  Each p = kSubsetServers point times one update round of all servers,
+/// brute sweeps of listed domains against the shared list, and checks the
+/// choice an Auto run of that size makes between them the same way.
 std::vector<CrossoverPoint> measure_crossover(double cutoff, int r) {
   std::vector<CrossoverPoint> points;
   for (const std::size_t n :
@@ -156,10 +217,9 @@ std::vector<CrossoverPoint> measure_crossover(double cutoff, int r) {
                std::equal(brute.begin(), brute.end(), dom.active().begin());
     dom.update(mc, cutoff, opal::PairUpdatePath::Auto);
     pt.auto_cells = dom.last_update_used_cells();
-    const bool cells_faster = pt.cells_s < pt.brute_s;
-    pt.model_ok = pt.auto_cells == cells_faster ||
-                  (pt.speedup() > 0.8 && pt.speedup() < 1.25);
+    pt.model_ok = choice_ok(pt);
     points.push_back(pt);
+    points.push_back(measure_subset_round(mc, cutoff, inner));
   }
   return points;
 }
@@ -311,7 +371,8 @@ void write_json(const UpdateResult& u,
      << "  \"crossover\": [\n";
   for (std::size_t i = 0; i < xover.size(); ++i) {
     const CrossoverPoint& p = xover[i];
-    os << "    {\"n\": " << p.n << ", \"brute_s\": " << p.brute_s
+    os << "    {\"n\": " << p.n << ", \"p\": " << p.p
+       << ", \"brute_s\": " << p.brute_s
        << ", \"cell_list_s\": " << p.cells_s
        << ", \"speedup\": " << p.speedup()
        << ", \"auto_cells\": " << (p.auto_cells ? "true" : "false")
@@ -381,15 +442,18 @@ int main() {
       .add(s.agree ? "yes" : "NO");
   bench::emit(t, "host_speed");
 
-  util::Table xt({"n", "brute [s]", "cell list [s]", "speedup", "auto path",
-                  "model ok"});
+  util::Table xt({"n", "p", "brute [s]", "cell list [s]", "speedup",
+                  "auto path", "model ok"});
   for (const CrossoverPoint& p : xover) {
+    const char* path =
+        !p.auto_cells ? "brute" : (p.p == 1 ? "cells" : "shared");
     xt.row()
         .add(static_cast<unsigned long>(p.n))
+        .add(static_cast<long>(p.p))
         .add(p.brute_s, 7)
         .add(p.cells_s, 7)
         .add(p.speedup(), 2)
-        .add(p.auto_cells ? "cells" : "brute")
+        .add(path)
         .add(p.model_ok ? "yes" : "NO");
   }
   bench::emit(xt, "host_crossover");

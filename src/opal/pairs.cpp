@@ -5,7 +5,6 @@
 #include <bit>
 #include <cctype>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "opal/forcefield.hpp"
@@ -16,21 +15,12 @@ namespace opalsim::opal {
 
 namespace {
 
-/// Lexicographic rank of pair (i,j) in the full triangle over n centers.
-std::uint64_t pair_rank(std::uint32_t i, std::uint32_t j,
-                        std::uint32_t n) noexcept {
-  // Row i starts after sum_{r<i} (n-1-r) = i*(2n-i-1)/2 pairs (the product
-  // is always even: i or 2n-i-1 is).
-  return static_cast<std::uint64_t>(i) * (2ull * n - i - 1) / 2 +
-         (j - i - 1);
-}
-
 bool lex_less(const PairIdx& a, const PairIdx& b) noexcept {
   return a.i < b.i || (a.i == b.i && a.j < b.j);
 }
 
-/// OPALSIM_CELL_LIST=0 (or false/off/no) forces the brute-force update path
-/// everywhere — the escape hatch documented in README.  Read once.
+/// OPALSIM_CELL_LIST=0 (or false/off/no) keeps every host update on the
+/// brute-force sweep — the escape hatch documented in README.  Read once.
 bool cell_list_enabled() {
   static const bool enabled = [] {
     const auto s = util::env_string("OPALSIM_CELL_LIST");
@@ -48,31 +38,96 @@ bool cell_list_enabled() {
 /// grid bookkeeping would dominate.
 constexpr std::size_t kMinPairsForCells = 1024;
 
-/// Default Auto-path crossover in centers.  The bench_host_speed crossover
-/// sweep (synthetic complex, production cut-off 10 A) measures brute/cells
-/// parity up to the size where the skin-padded grid first fits the box
-/// (~1.1k centers at that density) and a >10x cells win from there up — so
-/// the binding constraint at realistic sizes is the grid estimate below,
-/// and this floor only guards the small-n regime where grid bookkeeping
-/// costs more than the whole O(n^2) sweep.  See DESIGN.md.
+/// Default crossover in centers.  The bench_host_speed crossover sweep
+/// (synthetic complex, production cut-off 10 A) measures, for the full
+/// triangle, brute/Verlet parity up to the size where the skin-padded grid
+/// first fits the box (~1.1k centers at that density) and a >10x Verlet win
+/// from there up; for a p = 7 update round, the shared list at parity with
+/// the listed brute sweeps at 128 centers and >5x faster from 256 up.  At
+/// 64 centers nearly every pair is a candidate and the shared list loses
+/// ~25%: loading positions per server is pure overhead there.  See
+/// DESIGN.md.
 constexpr std::uint32_t kDefaultCellCrossover = 256;
-
-/// Cost of one neighbor-candidate visit on the domain-subset path relative
-/// to one brute-force distance check: the candidate pays the same distance
-/// test plus a membership lookup (binary search) and bitset mark, and the
-/// per-update grid build is amortized over the candidates.  Measured ~2x
-/// on the bench complex.
-constexpr double kSubsetCandidateCost = 2.0;
 
 std::atomic<std::uint32_t> g_cell_crossover{0};  // 0 = not yet resolved
 
 /// Verlet-list skin as a fraction of the cut-off.  Larger skins pad the
 /// candidate list (more distance checks per update) but survive more
-/// motion before a grid rebuild; 0.3 balances the two for the step sizes
-/// the integrator takes.
+/// motion before a rebuild; 0.3 balances the two for the step sizes the
+/// integrator takes.
 constexpr double kVerletSkinFactor = 0.3;
 
-constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);
+/// The single definition of pair ownership, inlined into the per-strategy
+/// functors below; pair_owner() is its out-of-line form.
+inline int owner_of(DistributionStrategy strategy, std::uint64_t k,
+                    std::uint32_t i, std::uint32_t n, int p,
+                    std::uint64_t seed) noexcept {
+  const auto up = static_cast<std::uint64_t>(p);
+  switch (strategy) {
+    case DistributionStrategy::PseudoRandomHistorical: {
+      const std::uint64_t h = util::splitmix64_hash(k ^ seed);
+      auto server = static_cast<int>(h % up);
+      // Parity correlation of the historical generator: when p is even,
+      // one in eight pairs headed for an odd-ranked server lands on its
+      // even-ranked neighbour instead (~12% systematic imbalance).
+      if (p % 2 == 0 && ((h >> 32) & 7u) == 0) server &= ~1;
+      return server;
+    }
+    case DistributionStrategy::PseudoRandomUniform:
+      return static_cast<int>(util::splitmix64_hash(k ^ seed) % up);
+    case DistributionStrategy::RowCyclic:
+      return static_cast<int>(i % up);
+    case DistributionStrategy::Folded: {
+      const std::uint32_t row = i <= n - 2 - i ? i : n - 2 - i;
+      return static_cast<int>(row % up);
+    }
+    case DistributionStrategy::EvenMultiplierBug:
+      // gcd(multiplier, p) = 2 for even p: odd-ranked servers get nothing.
+      return static_cast<int>((k * 2654435762ull) % up);
+  }
+  return 0;
+}
+
+/// owner_of with the strategy fixed at compile time, so the switch folds
+/// away inside the per-pair loops.
+template <DistributionStrategy S>
+struct OwnerOf {
+  std::uint32_t n;
+  int p;
+  std::uint64_t seed;
+  int operator()(std::uint64_t k, std::uint32_t i) const noexcept {
+    return owner_of(S, k, i, n, p, seed);
+  }
+};
+
+/// Calls fn(OwnerOf<strategy>{...}): the strategy is resolved once per
+/// call, not once per pair.
+template <typename Fn>
+void with_owner(DistributionStrategy strategy, std::uint32_t n, int p,
+                std::uint64_t seed, Fn&& fn) {
+  switch (strategy) {
+    case DistributionStrategy::PseudoRandomHistorical:
+      return fn(OwnerOf<DistributionStrategy::PseudoRandomHistorical>{
+          n, p, seed});
+    case DistributionStrategy::PseudoRandomUniform:
+      return fn(
+          OwnerOf<DistributionStrategy::PseudoRandomUniform>{n, p, seed});
+    case DistributionStrategy::RowCyclic:
+      return fn(OwnerOf<DistributionStrategy::RowCyclic>{n, p, seed});
+    case DistributionStrategy::Folded:
+      return fn(OwnerOf<DistributionStrategy::Folded>{n, p, seed});
+    case DistributionStrategy::EvenMultiplierBug:
+      return fn(OwnerOf<DistributionStrategy::EvenMultiplierBug>{n, p, seed});
+  }
+}
+
+void require_domain_args(std::uint32_t n, int p, const char* who) {
+  if (p <= 0) throw std::invalid_argument(std::string(who) + ": p must be > 0");
+  if (n < 2) {
+    throw std::invalid_argument(std::string(who) + ": need >= 2 centers");
+  }
+  require_pair_indexable(n, who);
+}
 
 }  // namespace
 
@@ -111,30 +166,7 @@ int pair_owner(DistributionStrategy strategy, std::uint64_t k,
                std::uint32_t i, std::uint32_t j, std::uint32_t n, int p,
                std::uint64_t seed) {
   (void)j;
-  const auto up = static_cast<std::uint64_t>(p);
-  switch (strategy) {
-    case DistributionStrategy::PseudoRandomHistorical: {
-      const std::uint64_t h = util::splitmix64_hash(k ^ seed);
-      auto server = static_cast<int>(h % up);
-      // Parity correlation of the historical generator: when p is even,
-      // one in eight pairs headed for an odd-ranked server lands on its
-      // even-ranked neighbour instead (~12% systematic imbalance).
-      if (p % 2 == 0 && ((h >> 32) & 7u) == 0) server &= ~1;
-      return server;
-    }
-    case DistributionStrategy::PseudoRandomUniform:
-      return static_cast<int>(util::splitmix64_hash(k ^ seed) % up);
-    case DistributionStrategy::RowCyclic:
-      return static_cast<int>(i % up);
-    case DistributionStrategy::Folded: {
-      const std::uint32_t row = i <= n - 2 - i ? i : n - 2 - i;
-      return static_cast<int>(row % up);
-    }
-    case DistributionStrategy::EvenMultiplierBug:
-      // gcd(multiplier, p) = 2 for even p: odd-ranked servers get nothing.
-      return static_cast<int>((k * 2654435762ull) % up);
-  }
-  return 0;
+  return owner_of(strategy, k, i, n, p, seed);
 }
 
 void require_pair_indexable(std::size_t n, const char* who) {
@@ -146,37 +178,197 @@ void require_pair_indexable(std::size_t n, const char* who) {
   }
 }
 
+bool shared_list_enabled(double cutoff, PairUpdatePath path, std::size_t n) {
+  if (cutoff <= 0.0 || !cell_list_enabled()) return false;
+  switch (path) {
+    case PairUpdatePath::Brute:
+      return false;
+    case PairUpdatePath::CellList:
+      return true;
+    case PairUpdatePath::Auto:
+      break;
+  }
+  return n >= cell_crossover_centers();
+}
+
+std::vector<std::uint64_t> count_domains(std::uint32_t n, int p,
+                                         DistributionStrategy strategy,
+                                         std::uint64_t seed) {
+  require_domain_args(n, p, "count_domains");
+  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  // Every strategy gives every pair to server 0 when there is only one.
+  if (p == 1) return {total};
+  std::vector<std::uint64_t> counts(p, 0);
+  with_owner(strategy, n, p, seed, [&](auto owner) {
+    std::uint64_t k = 0;
+    for (std::uint32_t i = 0; i + 1 < n; ++i) {
+      for (std::uint32_t j = i + 1; j < n; ++j, ++k) ++counts[owner(k, i)];
+    }
+  });
+  return counts;
+}
+
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed) {
-  if (p <= 0) throw std::invalid_argument("build_domains: p must be > 0");
-  if (n < 2) throw std::invalid_argument("build_domains: need >= 2 centers");
-  require_pair_indexable(n, "build_domains");
+  require_domain_args(n, p, "build_domains");
   // Count pass, then fill pass: exact per-server reservations without
   // keeping anything per pair in between (owners are recomputed).
-  std::vector<std::uint64_t> counts(p, 0);
-  std::uint64_t k = 0;
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      ++counts[pair_owner(strategy, k, i, j, n, p, seed)];
-    }
-  }
+  const std::vector<std::uint64_t> counts = count_domains(n, p, strategy, seed);
   std::vector<std::vector<PairIdx>> domains(p);
   for (int s = 0; s < p; ++s) domains[s].reserve(counts[s]);
-  k = 0;
-  for (std::uint32_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
-      domains[pair_owner(strategy, k, i, j, n, p, seed)].push_back(
-          make_pair_idx(i, j));
+  with_owner(strategy, n, p, seed, [&](auto owner) {
+    std::uint64_t k = 0;
+    for (std::uint32_t i = 0; i + 1 < n; ++i) {
+      for (std::uint32_t j = i + 1; j < n; ++j, ++k) {
+        domains[owner(k, i)].push_back(make_pair_idx(i, j));
+      }
     }
-  }
+  });
   return domains;
 }
+
+// -- VerletList ---------------------------------------------------------------
+
+bool VerletList::load(const MolecularComplex& mc, double cutoff) {
+  const std::size_t n = mc.n();
+  x_.resize(n);
+  y_.resize(n);
+  z_.resize(n);
+  bool valid = ready_ && cutoff_ == cutoff && rx_.size() == n;
+  const double half_skin = 0.5 * (kVerletSkinFactor * cutoff);
+  const double half_skin2 = half_skin * half_skin;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Vec3& r = mc.centers[i].position;
+    x_[i] = r.x;
+    y_[i] = r.y;
+    z_[i] = r.z;
+    if (valid) {
+      const double dx = r.x - rx_[i];
+      const double dy = r.y - ry_[i];
+      const double dz = r.z - rz_[i];
+      valid = !(dx * dx + dy * dy + dz * dz > half_skin2);
+    }
+  }
+  ready_ = valid;
+  return valid;
+}
+
+bool VerletList::build_grid(double cutoff) {
+  const double padded = cutoff + kVerletSkinFactor * cutoff;
+  if (!grid_.build(x_, y_, z_, padded)) return false;
+  const auto n = static_cast<std::uint32_t>(x_.size());
+  const double padded2 = padded * padded;
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  marks_.assign(words, 0);
+  pairs_.clear();
+  // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
+  // both orders the row ascending and clears the bits it consumes.
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    grid_.for_each_near_above(
+        i, x_[i], y_[i], z_[i], padded2,
+        [&](std::uint32_t j) { marks_[j >> 6] |= 1ull << (j & 63); });
+    for (std::size_t w = static_cast<std::size_t>(i + 1) >> 6; w < words;
+         ++w) {
+      std::uint64_t word = marks_[w];
+      if (word == 0) continue;
+      marks_[w] = 0;
+      do {
+        const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+        word &= word - 1;
+        pairs_.push_back(
+            make_pair_idx(i, static_cast<std::uint32_t>(w << 6) + bit));
+      } while (word != 0);
+    }
+  }
+  commit(cutoff, true);
+  return true;
+}
+
+void VerletList::build_sweep(double cutoff) {
+  const double padded = cutoff + kVerletSkinFactor * cutoff;
+  const double padded2 = padded * padded;
+  const auto n = static_cast<std::uint32_t>(x_.size());
+  pairs_.clear();
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const double dx = x_[i] - x_[j];
+      const double dy = y_[i] - y_[j];
+      const double dz = z_[i] - z_[j];
+      if (dx * dx + dy * dy + dz * dz <= padded2) {
+        pairs_.push_back(make_pair_idx(i, j));
+      }
+    }
+  }
+  commit(cutoff, false);
+}
+
+void VerletList::commit(double cutoff, bool grid) {
+  rx_ = x_;
+  ry_ = y_;
+  rz_ = z_;
+  cutoff_ = cutoff;
+  grid_built_ = grid;
+  ready_ = true;
+}
+
+void VerletList::filter(std::span<const PairIdx> candidates, double c2,
+                        std::vector<PairIdx>& out) const {
+  // Branchless write (store every candidate, advance only on accept): at
+  // the ~40% accept rate of the padded list a conditional push mispredicts
+  // constantly.
+  const std::size_t base = out.size();
+  out.resize(base + candidates.size());
+  PairIdx* o = out.data() + base;
+  std::size_t cnt = 0;
+  for (const PairIdx& pr : candidates) {
+    const double dx = x_[pr.i] - x_[pr.j];
+    const double dy = y_[pr.i] - y_[pr.j];
+    const double dz = z_[pr.i] - z_[pr.j];
+    o[cnt] = pr;
+    cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
+  }
+  out.resize(base + cnt);
+}
+
+// -- SharedPairList -----------------------------------------------------------
+
+SharedPairList::SharedPairList(std::uint32_t n, int p,
+                               DistributionStrategy strategy,
+                               std::uint64_t seed)
+    : n_(n), p_(p), strategy_(strategy), seed_(seed) {
+  if (p <= 0) throw std::invalid_argument("SharedPairList: p must be > 0");
+  require_pair_indexable(n, "SharedPairList");
+  if (p > 1) split_.resize(static_cast<std::size_t>(p));
+}
+
+bool SharedPairList::refresh(const MolecularComplex& mc, double cutoff) {
+  if (mc.n() != n_) {
+    throw std::logic_error("SharedPairList: complex size changed");
+  }
+  if (list_.load(mc, cutoff)) return false;
+  if (!list_.build_grid(cutoff)) list_.build_sweep(cutoff);
+  ++rebuilds_;
+  if (split_.empty()) return true;
+  for (std::vector<PairIdx>& s : split_) s.clear();
+  with_owner(strategy_, n_, p_, seed_, [&](auto owner) {
+    for (const PairIdx& pr : list_.pairs()) {
+      split_[owner(pair_rank(pr.i, pr.j, n_), pr.i)].push_back(pr);
+    }
+  });
+  return true;
+}
+
+// -- ServerDomain -------------------------------------------------------------
 
 std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
                                    PairUpdatePath path) {
   used_cells_ = false;
   if (cutoff <= 0.0) {
+    if (shared_ != nullptr) {
+      throw std::logic_error("ServerDomain: a shared-list domain needs a "
+                             "cut-off");
+    }
     // active() stays the whole domain: a new version only when it was not.
     if (materialized_) ++generation_;
     materialized_ = false;
@@ -188,6 +380,22 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
   ++generation_;
   ++stats_.updates;
   const double c2 = cutoff * cutoff;
+  if (shared_ != nullptr) {
+    // Own pairs from the shared list (lex order), then the adopted tail:
+    // the order a brute sweep of own-then-adopted pairs emits.
+    const bool rebuilt = shared_->refresh(mc, cutoff);
+    active_.clear();
+    shared_->list().filter(shared_->candidates(server_), c2, active_);
+    sweep_listed(mc, c2);
+    // A one-server list is this domain's whole Verlet list: count it as a
+    // listed full triangle's own list would be.
+    if (shared_->servers() == 1 && shared_->list().grid_built()) {
+      used_cells_ = true;
+      ++stats_.cell_updates;
+      if (rebuilt) ++stats_.verlet_rebuilds;
+    }
+    return domain_size();
+  }
   bool try_cells = false;
   switch (path) {
     case PairUpdatePath::Brute:
@@ -204,29 +412,37 @@ std::uint64_t ServerDomain::update(const MolecularComplex& mc, double cutoff,
   if (try_cells && update_cells(mc, c2, cutoff)) {
     ++stats_.cell_updates;
   } else {
-    update_brute(mc, c2);
+    active_.clear();
+    sweep_listed(mc, c2);
   }
-  return domain_.size();
+  return domain_size();
+}
+
+bool ServerDomain::is_full_triangle(std::uint32_t n) {
+  if (triangle_known_ && triangle_n_ == n) return full_triangle_;
+  const std::uint64_t total =
+      n < 2 ? 0 : static_cast<std::uint64_t>(n) * (n - 1) / 2;
+  // Strictly increasing distinct pairs, as many as exist: the whole
+  // triangle in lex order (the serial engine's domain).
+  full_triangle_ = domain_.size() == total && total > 0;
+  for (std::size_t t = 1; full_triangle_ && t < domain_.size(); ++t) {
+    full_triangle_ = lex_less(domain_[t - 1], domain_[t]);
+  }
+  triangle_n_ = n;
+  triangle_known_ = true;
+  return full_triangle_;
 }
 
 bool ServerDomain::cells_profitable(const MolecularComplex& mc,
-                                    double cutoff) const {
+                                    double cutoff) {
   const auto n = static_cast<std::uint32_t>(mc.n());
-  if (n < cell_crossover_centers()) return false;
-  const double total =
-      0.5 * static_cast<double>(n) * (static_cast<double>(n) - 1.0);
-  const bool full_triangle =
-      domain_.size() == static_cast<std::size_t>(total);
-  // Grid edge the build would actually use: the full-triangle (Verlet)
-  // path builds with the skin-padded cut-off, the subset path with the
-  // bare cut-off.  Using the wrong edge here predicts a buildable grid
-  // that then degenerates — every update would pay a doomed build attempt.
-  const double edge =
-      full_triangle ? cutoff * (1.0 + kVerletSkinFactor) : cutoff;
-  // Estimate the grid the build would produce from the bounding box (O(n),
-  // negligible next to the O(n^2/p) sweep being decided on).  The estimate
+  if (n < cell_crossover_centers() || !is_full_triangle(n)) return false;
+  // Estimate the grid the skin-padded build would produce from the
+  // bounding box (O(n), negligible next to the O(n^2) sweep being decided
+  // on), so that no update pays a doomed build attempt.  The estimate
   // mirrors CellGrid::build: floor(span/edge) cells per axis, product
   // capped near 8n (past that the grid is sparse and build() shrinks it).
+  const double edge = cutoff * (1.0 + kVerletSkinFactor);
   double lo[3], hi[3];
   const Vec3& r0 = mc.centers[0].position;
   lo[0] = hi[0] = r0.x;
@@ -249,26 +465,12 @@ bool ServerDomain::cells_profitable(const MolecularComplex& mc,
     ncells *= d < 1.0 ? 1.0 : d;
   }
   ncells = std::min(ncells, 8.0 * n + 64.0);
-  if (ncells < 8.0) return false;  // build() would refuse anyway
-
-  if (full_triangle) {
-    // Full-triangle domain: the Verlet-list steady state re-filters only
-    // the padded neighbor list per update, which wins from the crossover
-    // size up regardless of grid shape.
-    return true;
-  }
-  // Domain subset (p > 1 servers): the grid enumerates candidates from the
-  // WHOLE complex — roughly the 27-cell neighborhood fraction of all pairs
-  // — and each candidate costs ~kSubsetCandidateCost brute checks (distance
-  // + membership lookup), while the brute sweep only touches this server's
-  // domain_.  Cells win when the pruned candidate volume undercuts that.
-  const double candidates = std::min(total, total * 27.0 / ncells);
-  return candidates * kSubsetCandidateCost <
-         static_cast<double>(domain_.size());
+  // The Verlet steady state re-filters only the padded list per update,
+  // which wins from the crossover size up whenever the grid splits at all.
+  return ncells >= 8.0;
 }
 
-void ServerDomain::update_brute(const MolecularComplex& mc, double c2) {
-  active_.clear();
+void ServerDomain::sweep_listed(const MolecularComplex& mc, double c2) {
   for (const PairIdx& pr : domain_) {
     if (within_cutoff(mc, pr.i, pr.j, c2)) active_.push_back(pr);
   }
@@ -276,194 +478,17 @@ void ServerDomain::update_brute(const MolecularComplex& mc, double c2) {
 
 bool ServerDomain::update_cells(const MolecularComplex& mc, double c2,
                                 double cutoff) {
-  const auto n = static_cast<std::uint32_t>(mc.n());
-  sx_.resize(n);
-  sy_.resize(n);
-  sz_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const Vec3& r = mc.centers[i].position;
-    sx_[i] = r.x;
-    sy_[i] = r.y;
-    sz_[i] = r.z;
+  // Only the whole triangle in lex order is "all cut-off pairs in lex
+  // order", which is what filtering the whole Verlet list yields.
+  if (!is_full_triangle(static_cast<std::uint32_t>(mc.n()))) return false;
+  if (!verlet_.load(mc, cutoff)) {
+    if (!verlet_.build_grid(cutoff)) return false;
+    ++stats_.verlet_rebuilds;
   }
-  ensure_membership(n);
-
-  if (membership_ == Membership::LexComplete) {
-    // Serial full-triangle domain: every pair is assigned, so the active
-    // list is just "all cut-off pairs in lex order".  Keep a Verlet list —
-    // candidate j's per row i within cutoff + skin of reference positions —
-    // and rebuild it from the cell grid only when some center has moved
-    // more than skin/2 since the reference.  While the list is valid (every
-    // pair now within the cut-off was within cutoff + skin at reference
-    // time), exactly re-filtering it against the current positions yields
-    // the brute-force active list bit for bit, in the same lex order, at
-    // O(list) instead of O(n^2) cost per update.
-    const double skin = kVerletSkinFactor * cutoff;
-    bool fresh = verlet_ready_ && verlet_cutoff_ == cutoff && rx_.size() == n;
-    if (fresh) {
-      const double half_skin2 = (0.5 * skin) * (0.5 * skin);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const double dx = sx_[i] - rx_[i];
-        const double dy = sy_[i] - ry_[i];
-        const double dz = sz_[i] - rz_[i];
-        if (dx * dx + dy * dy + dz * dz > half_skin2) {
-          fresh = false;
-          break;
-        }
-      }
-    }
-    if (!fresh) {
-      if (!grid_.build(sx_, sy_, sz_, cutoff + skin)) return false;
-      ++stats_.verlet_rebuilds;
-      const double padded2 = (cutoff + skin) * (cutoff + skin);
-      const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-      marks_.assign(words, 0);
-      vstart_.assign(n + 1, 0);
-      vitems_.clear();
-      // Per-row bitset over j (a few hundred bytes, L1-resident): the sweep
-      // both orders the row ascending and clears the bits it consumes.
-      for (std::uint32_t i = 0; i + 1 < n; ++i) {
-        grid_.for_each_near_above(i, sx_[i], sy_[i], sz_[i], padded2,
-                                  [&](std::uint32_t j) {
-                                    marks_[j >> 6] |= 1ull << (j & 63);
-                                  });
-        for (std::size_t w = static_cast<std::size_t>(i + 1) >> 6; w < words;
-             ++w) {
-          std::uint64_t word = marks_[w];
-          if (word == 0) continue;
-          marks_[w] = 0;
-          do {
-            const auto bit =
-                static_cast<std::uint32_t>(std::countr_zero(word));
-            word &= word - 1;
-            vitems_.push_back(static_cast<std::uint32_t>(w << 6) + bit);
-          } while (word != 0);
-        }
-        vstart_[i + 1] = static_cast<std::uint32_t>(vitems_.size());
-      }
-      vstart_[n] = static_cast<std::uint32_t>(vitems_.size());
-      rx_ = sx_;
-      ry_ = sy_;
-      rz_ = sz_;
-      verlet_cutoff_ = cutoff;
-      verlet_ready_ = true;
-    }
-    // Exact filter of the padded list against the *current* positions: the
-    // same squared-distance expression within_cutoff evaluates, over rows
-    // in lex order, j ascending within a row.  The write is branchless
-    // (store every candidate, advance only on accept) — at the ~40% accept
-    // rate of the padded list a conditional push mispredicts constantly.
-    active_.resize(vitems_.size());
-    PairIdx* out = active_.data();
-    std::size_t cnt = 0;
-    for (std::uint32_t i = 0; i + 1 < n; ++i) {
-      const double xi = sx_[i], yi = sy_[i], zi = sz_[i];
-      const std::uint32_t e = vstart_[i + 1];
-      for (std::uint32_t t = vstart_[i]; t < e; ++t) {
-        const std::uint32_t j = vitems_[t];
-        const double dx = xi - sx_[j];
-        const double dy = yi - sy_[j];
-        const double dz = zi - sz_[j];
-        out[cnt] = make_pair_idx(i, j);
-        cnt += dx * dx + dy * dy + dz * dz <= c2 ? 1 : 0;
-      }
-    }
-    active_.resize(cnt);
-    used_cells_ = true;
-    return true;
-  }
-
-  if (!grid_.build(sx_, sy_, sz_, cutoff)) return false;
-
-  // Domain-subset memberships: mark assigned candidates within the cut-off
-  // in a bitset over domain positions, then sweep it in order — the active
-  // list comes out exactly as the brute-force sweep would emit it.
-  marks_.assign((domain_.size() + 63) / 64, 0);
-  grid_.for_each_candidate([&](std::uint32_t a, std::uint32_t b) {
-    const Vec3 d{sx_[a] - sx_[b], sy_[a] - sy_[b], sz_[a] - sz_[b]};
-    if (!(d.norm2() <= c2)) return;
-    const std::size_t pos = find_position(a, b, n);
-    if (pos == kNoPosition) return;
-    marks_[pos >> 6] |= 1ull << (pos & 63);
-  });
-
   active_.clear();
-  for (std::size_t w = 0; w < marks_.size(); ++w) {
-    std::uint64_t word = marks_[w];
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      active_.push_back(domain_[(w << 6) + bit]);
-    }
-  }
+  verlet_.filter(verlet_.pairs(), c2, active_);
   used_cells_ = true;
   return true;
-}
-
-void ServerDomain::ensure_membership(std::uint32_t n) {
-  if (membership_ready_ && membership_n_ == n) return;
-  bool sorted = true;
-  for (std::size_t t = 1; t < domain_.size(); ++t) {
-    if (!lex_less(domain_[t - 1], domain_[t])) {
-      sorted = false;
-      break;
-    }
-  }
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  if (sorted && domain_.size() == total) {
-    // Strictly increasing distinct pairs, as many as exist: the full
-    // triangle in lex order, so position == pair_rank.  This is the serial
-    // engine's domain — no index needed at all.
-    membership_ = Membership::LexComplete;
-    perm_.clear();
-    perm_.shrink_to_fit();
-  } else if (sorted) {
-    // Freshly built domains are lex-sorted (build_domains appends in
-    // enumeration order): binary-search the domain itself.
-    membership_ = Membership::SortedDomain;
-    perm_.clear();
-    perm_.shrink_to_fit();
-  } else {
-    // Post-adopt(): sorted runs concatenated.  Search an index permutation
-    // ordered by pair instead.
-    membership_ = Membership::Permuted;
-    perm_.resize(domain_.size());
-    std::iota(perm_.begin(), perm_.end(), 0u);
-    std::sort(perm_.begin(), perm_.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return lex_less(domain_[a], domain_[b]);
-              });
-  }
-  membership_n_ = n;
-  membership_ready_ = true;
-}
-
-std::size_t ServerDomain::find_position(std::uint32_t i, std::uint32_t j,
-                                        std::uint32_t n) const noexcept {
-  switch (membership_) {
-    case Membership::LexComplete:
-      return static_cast<std::size_t>(pair_rank(i, j, n));
-    case Membership::SortedDomain: {
-      const PairIdx key = make_pair_idx(i, j);
-      const auto it =
-          std::lower_bound(domain_.begin(), domain_.end(), key, lex_less);
-      if (it == domain_.end() || it->i != i || it->j != j) return kNoPosition;
-      return static_cast<std::size_t>(it - domain_.begin());
-    }
-    case Membership::Permuted: {
-      const PairIdx key = make_pair_idx(i, j);
-      const auto it = std::lower_bound(
-          perm_.begin(), perm_.end(), key,
-          [this](std::uint32_t t, const PairIdx& v) {
-            return lex_less(domain_[t], v);
-          });
-      if (it == perm_.end()) return kNoPosition;
-      const PairIdx& found = domain_[*it];
-      if (found.i != i || found.j != j) return kNoPosition;
-      return static_cast<std::size_t>(*it);
-    }
-  }
-  return kNoPosition;
 }
 
 }  // namespace opalsim::opal

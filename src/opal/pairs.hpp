@@ -6,14 +6,17 @@
 // the *active* list on each server is rebuilt in the update phase by
 // distance-checking the assigned pairs against the cut-off.
 //
-// Two host execution paths rebuild the active list (DESIGN.md, "Host
-// execution engine"): the brute-force sweep over the assigned pairs (the
-// paper's algorithm, O(n^2/p) distance checks) and a linked-cell path that
-// enumerates only neighbor-cell candidates and filters them through a
-// membership index of the static domain.  Both produce the identical active
-// list (same pairs, same order); only host wall time differs.  Virtual-time
-// accounting is unchanged: update() always reports domain_size() pairs
-// checked, the paper's O(n^2) model.
+// The host need not do that O(n^2/p) sweep to find the same list (DESIGN.md,
+// "Host execution engine").  A cut-off run from the crossover size up keeps
+// one skin-padded Verlet list over the whole complex (SharedPairList), split
+// by owner whenever it is rebuilt; each server exact-filters its share of it
+// and brute-filters the pairs it adopted in a failover.  Its own pairs are
+// then never listed, only counted.  An explicitly listed domain (ServerDomain(std::vector<PairIdx>))
+// keeps the brute sweep, plus a private Verlet list when it is the whole
+// triangle.  Every path produces the identical active list (same pairs, same
+// order); only host wall time differs.  Virtual-time accounting is
+// unchanged: update() always reports domain_size() pairs checked, the
+// paper's O(n^2) model.
 #pragma once
 
 #include <cstddef>
@@ -75,30 +78,51 @@ enum class DistributionStrategy {
 
 std::string to_string(DistributionStrategy s);
 
-/// Host path used by ServerDomain::update to rebuild the active list.
-/// Auto picks the cell list when the crossover model says it pays off
-/// (cut-off set, enough centers/pairs, grid dense enough to prune) unless
-/// disabled via OPALSIM_CELL_LIST=0; Brute and CellList force a path
-/// (CellList still falls back when the grid degenerates, e.g. the cut-off
-/// exceeds the bounding box).
+/// Host path used by ServerDomain::update on an explicitly listed domain.
+/// Auto takes the Verlet list when the domain is the whole triangle and the
+/// crossover model says it pays off (enough centers, grid dense enough to
+/// prune), unless disabled via OPALSIM_CELL_LIST=0; Brute and CellList force
+/// a path (CellList still falls back when the domain is a subset or the grid
+/// degenerates, e.g. the cut-off exceeds the bounding box).  A run's path
+/// picks between listed domains and the shared list the same way
+/// (shared_list_enabled).
 enum class PairUpdatePath { Auto, Brute, CellList };
 
-/// Auto-path crossover: minimum center count before the cell-list path is
-/// considered.  Default from the bench_host_speed crossover sweep
-/// (DESIGN.md, "Host execution engine"); OPALSIM_CELL_CROSSOVER overrides
-/// it (read once, cached).
+/// Crossover in centers: the Auto path's minimum n for the Verlet list of a
+/// full-triangle domain and for a run's shared list.  Default from the
+/// bench_host_speed crossover sweep (DESIGN.md, "Host execution engine");
+/// OPALSIM_CELL_CROSSOVER overrides it (read once, cached).
 std::uint32_t cell_crossover_centers();
 /// Overrides the cached crossover (tests steer the Auto heuristic
 /// in-process; 0 restores the env/default resolution on next read).
 void set_cell_crossover_centers(std::uint32_t n);
 
+/// Whether a run of `n` centers with this cut-off and path keeps one
+/// SharedPairList and unlisted server domains instead of listing every
+/// server's pair domain: a cut-off is set, OPALSIM_CELL_LIST is not 0, and
+/// the path is CellList, or Auto from the crossover up.
+bool shared_list_enabled(double cutoff, PairUpdatePath path, std::size_t n);
+
 /// Host-path counters for one ServerDomain (bench/metrics introspection;
-/// not serialized — checkpointed runs omit the derived metrics keys).
+/// not serialized — checkpointed runs omit the derived metrics keys).  The
+/// Verlet counters cover a grid-built list the domain filters whole: its
+/// private one, or a one-server run's shared list.  A server of a larger
+/// run counts its updates only; the shared list counts its own rebuilds.
 struct PairUpdateStats {
   std::uint64_t updates = 0;          ///< update() calls with a cut-off
-  std::uint64_t cell_updates = 0;     ///< of which the cell path served
-  std::uint64_t verlet_rebuilds = 0;  ///< grid builds of the Verlet list
+  std::uint64_t cell_updates = 0;     ///< of which a whole Verlet list served
+  std::uint64_t verlet_rebuilds = 0;  ///< grid builds of that list
 };
+
+/// Lexicographic rank of pair (i,j), i < j < n, in the full triangle: the
+/// pair number `k` that pair_owner takes.
+inline std::uint64_t pair_rank(std::uint32_t i, std::uint32_t j,
+                               std::uint32_t n) noexcept {
+  // Row i starts after sum_{r<i} (n-1-r) = i*(2n-i-1)/2 pairs (the product
+  // is always even: i or 2n-i-1 is).
+  return static_cast<std::uint64_t>(i) * (2ull * n - i - 1) / 2 +
+         (j - i - 1);
+}
 
 /// Owner server of pair number `k` = (i,j) under the given strategy.
 int pair_owner(DistributionStrategy strategy, std::uint64_t k,
@@ -109,22 +133,119 @@ int pair_owner(DistributionStrategy strategy, std::uint64_t k,
 /// a count pass sizes every list exactly, a fill pass writes it; both
 /// evaluate pair_owner, so nothing per pair is kept between them.
 /// Deterministic in (n, p, strategy, seed); throws std::invalid_argument
-/// for n > kMaxCenters.
+/// for p <= 0, n < 2 or n > kMaxCenters.
 std::vector<std::vector<PairIdx>> build_domains(std::uint32_t n, int p,
                                                 DistributionStrategy strategy,
                                                 std::uint64_t seed);
 
+/// The per-server sizes of build_domains(n, p, strategy, seed), counted in
+/// one pass that lists nothing.  Same argument checks.
+std::vector<std::uint64_t> count_domains(std::uint32_t n, int p,
+                                         DistributionStrategy strategy,
+                                         std::uint64_t seed);
+
+/// Skin-padded (Verlet) neighbor list over a whole complex: every pair
+/// within cutoff + skin of the reference positions it was built at, in lex
+/// order (i ascending, j ascending within a row).  While no center has moved
+/// more than skin/2 from its reference, every pair now within the cut-off is
+/// on the list, so exact-filtering a lex-ordered part of it against the
+/// current positions gives the brute-force sweep's list over that part,
+/// bit for bit.  Host-only; see DESIGN.md, "Host execution engine".
+class VerletList {
+ public:
+  /// Loads the positions of `mc` as the current ones and reports whether
+  /// the list is valid for them at `cutoff`: built for this cut-off and
+  /// center count, and no center moved more than skin/2 since.  An invalid
+  /// list must be rebuilt before filter() is used.
+  bool load(const MolecularComplex& mc, double cutoff);
+  /// Rebuilds from the loaded positions through a cell grid.  Returns false
+  /// (list left invalid) when the grid degenerates.
+  bool build_grid(double cutoff);
+  /// Rebuilds from the loaded positions by sweeping the whole triangle:
+  /// O(n^2), for small n and degenerate grids.
+  void build_sweep(double cutoff);
+
+  std::span<const PairIdx> pairs() const noexcept { return pairs_; }
+  /// Whether the current list was enumerated through the cell grid.
+  bool grid_built() const noexcept { return grid_built_; }
+
+  /// Appends to `out`, in order, the pairs of `candidates` within sqrt(c2)
+  /// at the loaded positions.  The squared distance is the expression
+  /// within_cutoff evaluates, so the accept decision is the brute sweep's.
+  void filter(std::span<const PairIdx> candidates, double c2,
+              std::vector<PairIdx>& out) const;
+
+ private:
+  /// Makes the loaded positions the reference of a freshly built list.
+  void commit(double cutoff, bool grid);
+
+  bool ready_ = false;
+  bool grid_built_ = false;
+  double cutoff_ = -1.0;
+  std::vector<PairIdx> pairs_;
+  std::vector<double> x_, y_, z_;     ///< loaded (current) positions
+  std::vector<double> rx_, ry_, rz_;  ///< reference positions of pairs_
+  // Build scratch, reused across rebuilds.
+  CellGrid grid_;
+  std::vector<std::uint64_t> marks_;
+};
+
+/// The one Verlet list of a cut-off run, split by owner: after every rebuild
+/// server s's candidates are the list's pairs with pair_owner == s, in lex
+/// order.  Host-only and never serialized; servers of the run hold it by
+/// reference (ServerDomain's shared-list constructor).
+class SharedPairList {
+ public:
+  /// Throws std::invalid_argument for p <= 0 or n > kMaxCenters.
+  SharedPairList(std::uint32_t n, int p, DistributionStrategy strategy,
+                 std::uint64_t seed);
+
+  /// Brings the list up to date for the positions of `mc` at `cutoff`,
+  /// rebuilding and re-splitting it when the skin no longer covers them:
+  /// through the cell grid, or by a sweep when the grid degenerates.
+  /// Returns true when it rebuilt.
+  bool refresh(const MolecularComplex& mc, double cutoff);
+
+  /// Server `s`'s candidates from the last refresh, in lex order.
+  std::span<const PairIdx> candidates(int s) const noexcept {
+    return split_.empty() ? list_.pairs()
+                          : std::span<const PairIdx>(split_[s]);
+  }
+  const VerletList& list() const noexcept { return list_; }
+  int servers() const noexcept { return p_; }
+  /// List rebuilds since construction.
+  std::uint64_t rebuilds() const noexcept { return rebuilds_; }
+
+ private:
+  std::uint32_t n_;
+  int p_;
+  DistributionStrategy strategy_;
+  std::uint64_t seed_;
+  VerletList list_;
+  std::vector<std::vector<PairIdx>> split_;  ///< per server; empty at p = 1
+  std::uint64_t rebuilds_ = 0;
+};
+
 /// A server's share of the pair work: the static domain plus the active
-/// cut-off list rebuilt by update().
+/// cut-off list rebuilt by update().  The domain is either listed
+/// explicitly, or (a server of a cut-off run) the `owned` pairs of a
+/// SharedPairList's partition, which are never listed, followed by the
+/// explicitly listed pairs it adopted in failovers.
 class ServerDomain {
  public:
   ServerDomain() = default;
   explicit ServerDomain(std::vector<PairIdx> domain)
       : domain_(std::move(domain)) {}
+  /// Server `server` of `shared`'s run, owning `owned` pairs (its
+  /// count_domains entry).  Only cut-off updates are valid on it.
+  ServerDomain(SharedPairList& shared, int server, std::uint64_t owned)
+      : shared_(&shared), server_(server), owned_(owned) {}
 
   /// Rebuilds the active list: pairs within `cutoff` (Angstrom); a
   /// non-positive cutoff means no cut-off (all pairs active, list not
-  /// materialized).  Returns the number of pairs checked for virtual-time
+  /// materialized; std::logic_error on a shared-list domain).  A shared-list
+  /// domain refreshes the shared list (`mc` must be the whole complex) and
+  /// ignores `path`.  Returns the number of pairs checked for virtual-time
   /// accounting (== domain size; the model charges the full sweep
   /// regardless of the host path).
   std::uint64_t update(const MolecularComplex& mc, double cutoff,
@@ -143,11 +264,12 @@ class ServerDomain {
   void adopt(std::span<const PairIdx> extra) {
     domain_.insert(domain_.end(), extra.begin(), extra.end());
     ++generation_;
-    membership_ready_ = false;
-    verlet_ready_ = false;
+    triangle_known_ = false;
   }
 
-  std::size_t domain_size() const noexcept { return domain_.size(); }
+  std::size_t domain_size() const noexcept {
+    return static_cast<std::size_t>(owned_) + domain_.size();
+  }
   std::size_t active_size() const noexcept {
     return materialized_ ? active_.size() : domain_.size();
   }
@@ -156,7 +278,7 @@ class ServerDomain {
   std::size_t list_bytes() const noexcept {
     return active_size() * kModelPairBytes;
   }
-  /// True when the last update() went through the cell-list path (bench
+  /// True when the last update() went through the own Verlet list (bench
   /// and test introspection).
   bool last_update_used_cells() const noexcept { return used_cells_; }
   /// Cumulative host-path counters since construction/restore.
@@ -168,16 +290,21 @@ class ServerDomain {
   std::uint64_t generation() const noexcept { return generation_; }
 
   // -- checkpoint/restart (src/ckpt) ---------------------------------------
-  // Only the result state is serialized: static domain, materialized active
-  // list, materialization flag.  The membership/cell/Verlet structures are
-  // lazy caches rebuilt on demand, and both host paths produce the identical
-  // active list — so a resumed server replays the golden run's lists exactly.
+  // Only the result state is serialized: listed pairs, materialized active
+  // list, materialization flag.  The Verlet structures are caches rebuilt on
+  // demand, and every host path produces the identical active list — so a
+  // resumed server replays the golden run's lists exactly.  An image lists
+  // a shared-list server's own pairs too; ParallelOpal writes and strips
+  // them (DESIGN.md, "Host execution engine").
 
+  /// The listed pairs: the whole domain, or a shared-list domain's adopted
+  /// tail.
   const std::vector<PairIdx>& domain() const noexcept { return domain_; }
   const std::vector<PairIdx>& active_list() const noexcept { return active_; }
   bool materialized() const noexcept { return materialized_; }
 
-  /// Restores serialized list state; caches start cold (resume only).
+  /// Restores serialized list state (`domain` as domain() returns it);
+  /// caches start cold (resume only).
   void restore(std::vector<PairIdx> domain, std::vector<PairIdx> active,
                bool materialized) {
     domain_ = std::move(domain);
@@ -186,26 +313,19 @@ class ServerDomain {
     ++generation_;
     used_cells_ = false;
     stats_ = {};
-    membership_ready_ = false;
-    verlet_ready_ = false;
+    triangle_known_ = false;
   }
 
  private:
-  /// How candidate pairs map back to positions in domain_.
-  enum class Membership : unsigned char {
-    LexComplete,   ///< full triangle in lex order: position == pair rank
-    SortedDomain,  ///< domain_ lex-sorted: binary search on it directly
-    Permuted,      ///< post-adopt: binary search the rank-sorted perm_
-  };
-
-  void update_brute(const MolecularComplex& mc, double c2);
+  /// Appends the listed pairs within sqrt(c2) to active_, in order.
+  void sweep_listed(const MolecularComplex& mc, double c2);
+  /// The own Verlet path; false when it cannot serve this domain.
   bool update_cells(const MolecularComplex& mc, double c2, double cutoff);
-  /// Crossover model for the Auto path: does the cell list pay off here?
-  bool cells_profitable(const MolecularComplex& mc, double cutoff) const;
-  void ensure_membership(std::uint32_t n);
-  /// Position of (i,j) in domain_, or npos when not assigned here.
-  std::size_t find_position(std::uint32_t i, std::uint32_t j,
-                            std::uint32_t n) const noexcept;
+  /// Crossover model for the Auto path: does the Verlet list pay off here?
+  bool cells_profitable(const MolecularComplex& mc, double cutoff);
+  /// Whether the listed domain is the full triangle over n in lex order
+  /// (the only shape the own Verlet list serves), cached until it changes.
+  bool is_full_triangle(std::uint32_t n);
 
   std::vector<PairIdx> domain_;
   std::vector<PairIdx> active_;
@@ -214,28 +334,14 @@ class ServerDomain {
   PairUpdateStats stats_;
   std::uint64_t generation_ = 0;
 
-  // Membership index over the static domain (built lazily, invalidated by
-  // adopt()).
-  bool membership_ready_ = false;
-  Membership membership_ = Membership::SortedDomain;
-  std::uint32_t membership_n_ = 0;
-  std::vector<std::uint32_t> perm_;
+  SharedPairList* shared_ = nullptr;
+  int server_ = 0;
+  std::uint64_t owned_ = 0;
 
-  // Per-update scratch, reused across calls.
-  CellGrid grid_;
-  std::vector<double> sx_, sy_, sz_;
-  std::vector<std::uint64_t> marks_;
-
-  // Verlet (skin-padded) neighbor list for the serial full-triangle domain:
-  // CSR rows of candidate j's per i within cutoff + skin of the reference
-  // positions rx_/ry_/rz_.  Valid while no center has moved more than
-  // skin/2 from its reference — then exact distance-filtering the list
-  // reproduces the brute-force active list bit for bit.  See DESIGN.md,
-  // "Host execution engine".
-  bool verlet_ready_ = false;
-  double verlet_cutoff_ = -1.0;
-  std::vector<std::uint32_t> vstart_, vitems_;
-  std::vector<double> rx_, ry_, rz_;
+  bool triangle_known_ = false;
+  bool full_triangle_ = false;
+  std::uint32_t triangle_n_ = 0;
+  VerletList verlet_;
 };
 
 }  // namespace opalsim::opal

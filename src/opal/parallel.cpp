@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -116,14 +117,19 @@ std::vector<Vec3> unflatten_vec3(const std::vector<double>& flat) {
   return v;
 }
 
-/// Images keep pairs as u32 arrays: flatten widens, unflatten narrows.
-std::vector<std::uint32_t> flatten_pairs(const std::vector<PairIdx>& ps) {
-  std::vector<std::uint32_t> flat;
-  flat.reserve(2 * ps.size());
+/// Images keep pairs as u32 arrays: flattening widens, unflatten narrows.
+void append_pairs(std::vector<std::uint32_t>& flat,
+                  std::span<const PairIdx> ps) {
   for (const PairIdx& p : ps) {
     flat.push_back(p.i);
     flat.push_back(p.j);
   }
+}
+
+std::vector<std::uint32_t> flatten_pairs(std::span<const PairIdx> ps) {
+  std::vector<std::uint32_t> flat;
+  flat.reserve(2 * ps.size());
+  append_pairs(flat, ps);
   return flat;
 }
 
@@ -148,6 +154,38 @@ std::vector<PairIdx> unflatten_pairs(const std::vector<std::uint32_t>& flat,
     ps[k] = make_pair_idx(i, j);
   }
   return ps;
+}
+
+/// Splits a shared-list server's image domain (own pairs, then the adopted
+/// tail) and returns the tail.  The prefix must be exactly the server's
+/// `owned` pairs: that many strictly lex-increasing pairs, each owned by
+/// `server`, can only be its whole share in lex order.
+std::vector<PairIdx> adopted_tail(std::vector<PairIdx> listed,
+                                  std::uint64_t owned, int server,
+                                  const SimulationConfig& cfg, int p,
+                                  std::uint32_t n, const std::string& what) {
+  auto bad = [&](const std::string& why) {
+    util::fatal("ckpt", "bad checkpoint image: " + what + " " + why);
+  };
+  if (listed.size() < owned) {
+    bad("holds " + std::to_string(listed.size()) + " pairs, fewer than its " +
+        std::to_string(owned) + " own");
+  }
+  for (std::size_t k = 0; k < owned; ++k) {
+    const PairIdx& pr = listed[k];
+    if (k > 0 && std::make_pair(listed[k - 1].i, listed[k - 1].j) >=
+                     std::make_pair(pr.i, pr.j)) {
+      bad("own pair " + std::to_string(k) + " is out of lex order");
+    }
+    if (pair_owner(cfg.strategy, pair_rank(pr.i, pr.j, n), pr.i, pr.j, n, p,
+                   cfg.seed) != server) {
+      bad("own pair " + std::to_string(k) + " (" + std::to_string(pr.i) +
+          ", " + std::to_string(pr.j) + ") belongs to another server");
+    }
+  }
+  listed.erase(listed.begin(),
+               listed.begin() + static_cast<std::ptrdiff_t>(owned));
+  return listed;
 }
 
 /// Identity of everything that (re)builds the run's static structure:
@@ -306,18 +344,38 @@ ParallelRunResult ParallelOpal::run() {
   if (resume_snap) engine.restore_clock(resume_snap->now);
 
   const auto n = static_cast<std::uint32_t>(mc_.n());
-  auto domains = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
   // Client-side copy of the pair assignment, kept only in fault-tolerant
   // mode: the failover source of truth for redistributing a dead server's
   // work among the survivors.
   std::vector<std::vector<PairIdx>> assignment;
-  if (middleware_.retry.enabled) assignment = domains;
+  if (middleware_.retry.enabled) {
+    assignment = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
+  }
+  // A cut-off run lists no server's pairs: each server counts its own and
+  // filters its share of one run-wide Verlet list (DESIGN.md, "Host
+  // execution engine").  Otherwise every server holds its listed domain.
+  std::optional<SharedPairList> pair_list;
+  std::vector<std::uint64_t> owned;
+  std::vector<std::vector<PairIdx>> domains;
+  if (shared_list_enabled(cfg_.cutoff, cfg_.pair_path, n)) {
+    pair_list.emplace(n, num_servers_, cfg_.strategy, cfg_.seed);
+    if (middleware_.retry.enabled) {
+      for (const auto& a : assignment) owned.push_back(a.size());
+    } else {
+      owned = count_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
+    }
+  } else if (middleware_.retry.enabled) {
+    domains = assignment;
+  } else {
+    domains = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
+  }
   std::vector<ServerState> servers;
   servers.reserve(num_servers_);
   for (int s = 0; s < num_servers_; ++s) {
     ServerState st;
     st.replica = mc_;
-    st.domain = ServerDomain(std::move(domains[s]));
+    st.domain = pair_list ? ServerDomain(*pair_list, s, owned[s])
+                          : ServerDomain(std::move(domains[s]));
     st.grad.resize(mc_.n());
     st.soa.refresh_params(st.replica);
     servers.push_back(std::move(st));
@@ -482,9 +540,19 @@ ParallelRunResult ParallelOpal::run() {
     for (const std::vector<PairIdx>& a : assignment) {
       s.assignment.push_back(flatten_pairs(a));
     }
-    for (const ServerState& st : servers) {
+    // Images list a shared-list server's own pairs ahead of its adopted
+    // tail, exactly as a listed domain holds them.
+    std::vector<std::vector<PairIdx>> own(servers.size());
+    if (pair_list) {
+      own = build_domains(n, num_servers_, cfg_.strategy, cfg_.seed);
+    }
+    for (std::size_t sv = 0; sv < servers.size(); ++sv) {
+      const ServerState& st = servers[sv];
       ckpt::ServerSnap ss;
-      ss.domain = flatten_pairs(st.domain.domain());
+      ss.domain.reserve(2 * (own[sv].size() + st.domain.domain().size()));
+      append_pairs(ss.domain, own[sv]);
+      append_pairs(ss.domain, st.domain.domain());
+      own[sv] = {};
       ss.active = flatten_pairs(st.domain.active_list());
       ss.materialized = st.domain.materialized();
       ss.pairs_checked = st.pairs_checked;
@@ -869,7 +937,14 @@ ParallelRunResult ParallelOpal::run() {
       const ckpt::ServerSnap& ss = s.servers.at(static_cast<std::size_t>(sv));
       ServerState& st = servers[static_cast<std::size_t>(sv)];
       const std::string tag = "server " + std::to_string(sv);
-      st.domain.restore(unflatten_pairs(ss.domain, n, tag + " domain"),
+      std::vector<PairIdx> listed =
+          unflatten_pairs(ss.domain, n, tag + " domain");
+      if (pair_list) {
+        listed = adopted_tail(std::move(listed),
+                              owned[static_cast<std::size_t>(sv)], sv, cfg_,
+                              num_servers_, n, tag + " domain");
+      }
+      st.domain.restore(std::move(listed),
                         unflatten_pairs(ss.active, n, tag + " active list"),
                         ss.materialized);
       st.pairs_checked = ss.pairs_checked;

@@ -1,5 +1,7 @@
 #include "opal/serial.hpp"
 
+#include <optional>
+
 #include "opal/forcefield.hpp"
 #include "opal/soa.hpp"
 #include "opal/trajectory.hpp"
@@ -75,10 +77,21 @@ SimResult SerialOpal::run() {
   pairs_evaluated_ = 0;
   pairs_checked_ = 0;
 
-  // The serial code owns the full pair triangle as a single domain.
-  auto domains = build_domains(static_cast<std::uint32_t>(mc_.n()), 1,
-                               DistributionStrategy::RowCyclic, cfg_.seed);
-  ServerDomain domain(std::move(domains[0]));
+  // The serial code owns the full pair triangle as a single domain: with a
+  // cut-off, the unlisted share of a one-server shared list (as a
+  // ParallelOpal server would), else the listed triangle.
+  const auto n = static_cast<std::uint32_t>(mc_.n());
+  std::optional<SharedPairList> pair_list;
+  ServerDomain domain;
+  if (shared_list_enabled(cfg_.cutoff, cfg_.pair_path, n)) {
+    const std::uint64_t all =
+        count_domains(n, 1, DistributionStrategy::RowCyclic, cfg_.seed)[0];
+    pair_list.emplace(n, 1, DistributionStrategy::RowCyclic, cfg_.seed);
+    domain = ServerDomain(*pair_list, 0, all);
+  } else {
+    domain = ServerDomain(std::move(
+        build_domains(n, 1, DistributionStrategy::RowCyclic, cfg_.seed)[0]));
+  }
 
   std::vector<Vec3> velocities(mc_.n());
   std::vector<Vec3> grad(mc_.n());

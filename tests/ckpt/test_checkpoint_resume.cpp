@@ -14,10 +14,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/snapshot.hpp"
 #include "mach/platforms_db.hpp"
+#include "opal/pairs.hpp"
 #include "opal/parallel.hpp"
 #include "sim/fault.hpp"
 #include "util/fatal.hpp"
@@ -181,6 +183,15 @@ class CheckpointResumeTest : public ::testing::Test {
       ASSERT_EQ(g[g.size() - tail + i], r[i + 1])
           << "trace tail diverged at resumed row " << i;
     }
+  }
+
+  /// Writes `snap` to `path` as an image file.
+  static void write_image(const opalsim::ckpt::RunSnapshot& snap,
+                          const std::string& path) {
+    const std::vector<std::uint8_t> bytes = opalsim::ckpt::encode(snap);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
   }
 
   fs::path dir_;
@@ -441,6 +452,100 @@ TEST_F(CheckpointResumeTest, CorruptedResidueStampsSentChecksums) {
       << "step-6 image diverged after resume";
   expect_bitwise_equal(golden.result.physics, resumed.result.physics);
   EXPECT_EQ(golden.metrics, resumed.metrics);
+}
+
+// A cut-off run lists no server's own pairs, yet its images must: each
+// server's domain array is its build_domains list followed by the pairs it
+// adopted.  Captured after a failover, resumed, and refused when the own
+// prefix is tampered with.
+TEST_F(CheckpointResumeTest, SharedListImageListsOwnPairsAndAdoptedTail) {
+  opalsim::opal::SyntheticSpec spec;
+  spec.n_solute = 100;
+  spec.n_water = 200;
+  const MolecularComplex mc = opalsim::opal::make_synthetic_complex(spec);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  constexpr int kServers = 4;
+  constexpr int kDead = 1;
+  SimulationConfig cfg;
+  cfg.steps = 6;
+  cfg.cutoff = 8.0;
+  cfg.update_every = 1;
+  cfg.strategy = opalsim::opal::DistributionStrategy::PseudoRandomUniform;
+  cfg.kill_server = kDead;
+  cfg.kill_at_step = 1;
+  cfg.checkpoint_at_step = 3;
+  ASSERT_TRUE(opalsim::opal::shared_list_enabled(cfg.cutoff, cfg.pair_path, mc.n()));
+  const opalsim::sciddle::Options mw = ft_middleware();
+  const PlatformSpec platform = opalsim::mach::fast_cops();
+  expect_resume_identical(cfg, platform, mc, kServers, mw);
+
+  // Expected domains: own lists, plus the dead server's pairs dealt
+  // round-robin over the survivors (the client's failover rule).
+  auto own = opalsim::opal::build_domains(n, kServers, cfg.strategy, cfg.seed);
+  std::vector<std::vector<opalsim::opal::PairIdx>> expected = own;
+  const std::vector<int> survivors = {0, 2, 3};
+  for (std::size_t k = 0; k < own[kDead].size(); ++k) {
+    expected[static_cast<std::size_t>(survivors[k % survivors.size()])]
+        .push_back(own[kDead][k]);
+  }
+  const opalsim::ckpt::RunSnapshot good = decode_file(image_);
+  ASSERT_EQ(good.failover_epoch, 1u) << "the image predates the failover";
+  ASSERT_EQ(good.servers.size(), static_cast<std::size_t>(kServers));
+  for (int s = 0; s < kServers; ++s) {
+    SCOPED_TRACE("server " + std::to_string(s));
+    std::vector<std::uint32_t> flat;
+    for (const opalsim::opal::PairIdx& pr : expected[s]) {
+      flat.push_back(pr.i);
+      flat.push_back(pr.j);
+    }
+    EXPECT_EQ(good.servers[s].domain, flat);
+  }
+  ASSERT_GT(expected[0].size(), own[0].size()) << "server 0 adopted nothing";
+
+  struct Tamper {
+    const char* name;
+    const char* message;
+    void (*apply)(opalsim::ckpt::RunSnapshot&);
+  };
+  const Tamper tampers[] = {
+      {"own pairs swapped", "server 0 domain own pair 1 is out of lex order",
+       [](opalsim::ckpt::RunSnapshot& s) {
+         auto& d = s.servers.at(0).domain;
+         std::swap(d[0], d[2]);
+         std::swap(d[1], d[3]);
+       }},
+      {"foreign pair in the prefix", "server 2 domain own pair 0",
+       [](opalsim::ckpt::RunSnapshot& s) {
+         // Server 0's first own pair heads server 2's list instead.
+         auto& d = s.servers.at(2).domain;
+         const auto& d0 = s.servers.at(0).domain;
+         d[0] = d0[0];
+         d[1] = d0[1];
+       }},
+      {"prefix cut short", "server 3 domain holds",
+       [](opalsim::ckpt::RunSnapshot& s) {
+         auto& d = s.servers.at(3).domain;
+         d.resize(4);
+       }},
+  };
+  for (const Tamper& t : tampers) {
+    SCOPED_TRACE(t.name);
+    opalsim::ckpt::RunSnapshot bad = good;
+    t.apply(bad);
+    const std::string path = (dir_ / "tampered.ckpt").string();
+    write_image(bad, path);
+    SimulationConfig rcfg = cfg;
+    rcfg.resume_from = path;
+    ParallelOpal resumed(platform, mc, kServers, rcfg, mw);
+    try {
+      (void)resumed.run();
+      ADD_FAILURE() << "resume accepted a tampered own prefix";
+    } catch (const opalsim::util::FatalError& e) {
+      EXPECT_EQ(e.subsystem(), "ckpt");
+      EXPECT_NE(std::string(e.what()).find(t.message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

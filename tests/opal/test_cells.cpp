@@ -1,13 +1,17 @@
 // Cell-list update path: the linked-cell grid and the equivalence guarantee
 // that ServerDomain::update produces the *identical* active list (same
-// pairs, same order) on both host paths, across distribution strategies,
-// server counts, post-failover domains and degenerate geometries.
+// pairs, same order) on every host path — the brute sweep of a listed
+// domain, its private Verlet list, and a run's SharedPairList — across
+// distribution strategies, server counts, post-failover domains, moving
+// positions and degenerate geometries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -436,6 +440,213 @@ TEST(CellListEquivalence, SerialEngineBitIdenticalAcrossPaths) {
   EXPECT_EQ(results[0].ecoul, results[1].ecoul);
   EXPECT_EQ(results[0].kinetic, results[1].kinetic);
   EXPECT_EQ(results[0].total_energy(), results[1].total_energy());
+}
+
+// -- SharedPairList: one run-wide Verlet list split by owner ----------------
+
+/// p servers of one run on the shared list, side by side with the same
+/// servers on listed domains swept by brute force (the reference).
+struct SharedAndBrute {
+  SharedAndBrute(std::uint32_t n, int p, opal::DistributionStrategy strategy,
+                 std::uint64_t seed)
+      : list(n, p, strategy, seed),
+        assignment(opal::build_domains(n, p, strategy, seed)) {
+    const auto owned = opal::count_domains(n, p, strategy, seed);
+    for (int s = 0; s < p; ++s) {
+      EXPECT_EQ(owned[s], assignment[s].size());
+      shared.emplace_back(list, s, owned[s]);
+      brute.emplace_back(assignment[s]);
+    }
+  }
+
+  /// Kills server `dead` the way ParallelOpal's client heals: its listed
+  /// pairs (own plus adopted) are dealt round-robin over the survivors.
+  void fail_over(int dead) {
+    std::vector<int> survivors;
+    for (int s = 0; s < static_cast<int>(shared.size()); ++s) {
+      if (s != dead && alive(s)) survivors.push_back(s);
+    }
+    std::vector<std::vector<opal::PairIdx>> extra(shared.size());
+    for (std::size_t k = 0; k < assignment[dead].size(); ++k) {
+      extra[survivors[k % survivors.size()]].push_back(assignment[dead][k]);
+    }
+    assignment[dead].clear();
+    dead_.push_back(dead);
+    for (const int s : survivors) {
+      shared[s].adopt(extra[s]);
+      brute[s].adopt(extra[s]);
+      assignment[s].insert(assignment[s].end(), extra[s].begin(),
+                           extra[s].end());
+    }
+  }
+
+  bool alive(int s) const {
+    return std::find(dead_.begin(), dead_.end(), s) == dead_.end();
+  }
+
+  /// Updates every live server on both paths and requires the same pairs
+  /// in the same order and the same update() charge.
+  void expect_identical(const opal::MolecularComplex& mc, double cutoff) {
+    for (int s = 0; s < static_cast<int>(shared.size()); ++s) {
+      if (!alive(s)) continue;
+      SCOPED_TRACE("server " + std::to_string(s));
+      const auto charge_brute =
+          brute[s].update(mc, cutoff, opal::PairUpdatePath::Brute);
+      const auto charge_shared = shared[s].update(mc, cutoff);
+      EXPECT_EQ(charge_brute, charge_shared);
+      EXPECT_EQ(shared[s].domain_size(), brute[s].domain_size());
+      const auto want = snapshot(brute[s]);
+      const auto got = snapshot(shared[s]);
+      ASSERT_EQ(want.size(), got.size());
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        ASSERT_EQ(want[t].i, got[t].i) << "at position " << t;
+        ASSERT_EQ(want[t].j, got[t].j) << "at position " << t;
+      }
+    }
+  }
+
+  opal::SharedPairList list;
+  std::vector<std::vector<opal::PairIdx>> assignment;
+  std::vector<opal::ServerDomain> shared, brute;
+
+ private:
+  std::vector<int> dead_;
+};
+
+constexpr opal::DistributionStrategy kAllStrategies[] = {
+    opal::DistributionStrategy::PseudoRandomHistorical,
+    opal::DistributionStrategy::PseudoRandomUniform,
+    opal::DistributionStrategy::RowCyclic,
+    opal::DistributionStrategy::Folded,
+    opal::DistributionStrategy::EvenMultiplierBug,
+};
+
+TEST(CellListEquivalence, SharedListAllStrategiesAllServerCounts) {
+  const auto mc = test_complex(150, 300, 42);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  for (const auto strategy : kAllStrategies) {
+    for (int p : {1, 2, 3, 7}) {
+      SCOPED_TRACE(opal::to_string(strategy) + ", p=" + std::to_string(p));
+      SharedAndBrute run(n, p, strategy, 3);
+      run.expect_identical(mc, 8.0);
+    }
+  }
+}
+
+TEST(CellListEquivalence, SharedListFollowsMovingPositionsAcrossRebuilds) {
+  // Small jitter keeps the list, a large kick forces a rebuild and a new
+  // split; every round must still equal the brute lists.
+  auto mc = test_complex(120, 240, 8);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  for (int p : {1, 3, 7}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    SharedAndBrute run(n, p, opal::DistributionStrategy::PseudoRandomHistorical,
+                       5);
+    util::Xoshiro256 rng(77 + static_cast<std::uint64_t>(p));
+    run.expect_identical(mc, 8.0);
+    EXPECT_EQ(run.list.rebuilds(), 1u);
+    for (int round = 0; round < 6; ++round) {
+      const double amp = round % 2 == 0 ? 0.05 : 3.0;
+      for (auto& c : mc.centers) {
+        c.position.x += rng.uniform(-amp, amp);
+        c.position.y += rng.uniform(-amp, amp);
+        c.position.z += rng.uniform(-amp, amp);
+      }
+      SCOPED_TRACE("round " + std::to_string(round));
+      run.expect_identical(mc, 8.0);
+    }
+    // One rebuild per kick, none for the jitter.
+    EXPECT_EQ(run.list.rebuilds(), 4u);
+  }
+}
+
+TEST(CellListEquivalence, SharedListAfterTwoFailovers) {
+  // Two failover epochs: the second redistributes a server that already
+  // holds an adopted tail.  Own pairs stay on the shared list, adopted
+  // ones are swept, and the order is still own-then-adopted.
+  auto mc = test_complex(140, 280, 5);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  for (const auto strategy : kAllStrategies) {
+    SCOPED_TRACE(opal::to_string(strategy));
+    SharedAndBrute run(n, 5, strategy, 2);
+    run.expect_identical(mc, 8.0);
+    run.fail_over(2);
+    run.expect_identical(mc, 8.0);
+    run.fail_over(0);
+    for (auto& c : mc.centers) c.position.x += 0.5;  // moves, list kept
+    run.expect_identical(mc, 8.0);
+    for (auto& c : mc.centers) c.position.x -= 0.5;
+  }
+}
+
+TEST(CellListEquivalence, SharedListCutoffLargerThanBox) {
+  // The padded grid degenerates: the list falls back to a sweep of the
+  // whole triangle (every pair is a candidate) and stays exact.
+  const auto mc = test_complex(100, 200, 13);
+  const auto n = static_cast<std::uint32_t>(mc.n());
+  for (int p : {1, 2, 3, 7}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    SharedAndBrute run(n, p, opal::DistributionStrategy::Folded, 1);
+    run.expect_identical(mc, 1e6);
+    EXPECT_FALSE(run.list.list().grid_built());
+    EXPECT_EQ(run.list.list().pairs().size(),
+              static_cast<std::size_t>(n) * (n - 1) / 2);
+    EXPECT_FALSE(run.shared[0].last_update_used_cells());
+  }
+}
+
+TEST(CellListEquivalence, SharedListBelowCrossover) {
+  // middleware_ft's 36-centre shape: runs keep listed domains below the
+  // crossover unless CellList forces the shared list, which must then give
+  // the same lists.
+  const auto tiny = test_complex(12, 24, 4);
+  ASSERT_LT(tiny.n(), opal::cell_crossover_centers());
+  EXPECT_FALSE(
+      opal::shared_list_enabled(10.0, opal::PairUpdatePath::Auto, tiny.n()));
+  EXPECT_TRUE(opal::shared_list_enabled(10.0, opal::PairUpdatePath::CellList,
+                                        tiny.n()));
+  EXPECT_FALSE(opal::shared_list_enabled(
+      10.0, opal::PairUpdatePath::Brute, opal::cell_crossover_centers()));
+  EXPECT_FALSE(opal::shared_list_enabled(-1.0, opal::PairUpdatePath::Auto,
+                                         opal::cell_crossover_centers()));
+  EXPECT_TRUE(opal::shared_list_enabled(10.0, opal::PairUpdatePath::Auto,
+                                        opal::cell_crossover_centers()));
+  for (int p : {1, 2, 3, 7}) {
+    SCOPED_TRACE("tiny, p=" + std::to_string(p));
+    SharedAndBrute run(static_cast<std::uint32_t>(tiny.n()), p,
+                       opal::DistributionStrategy::PseudoRandomHistorical, 1);
+    run.expect_identical(tiny, 10.0);
+  }
+
+  // The sweep that builds a list the grid cannot enumerates exactly the
+  // grid's list where both work.
+  const auto mc = test_complex(60, 120, 9);
+  std::vector<double> x, y, z;
+  for (const auto& c : mc.centers) {
+    x.push_back(c.position.x);
+    y.push_back(c.position.y);
+    z.push_back(c.position.z);
+  }
+  const double cutoff = grid_friendly_cutoff(x, y, z) / 1.3;
+  opal::VerletList grid, sweep;
+  EXPECT_FALSE(grid.load(mc, cutoff));
+  ASSERT_TRUE(grid.build_grid(cutoff));
+  EXPECT_TRUE(grid.grid_built());
+  EXPECT_FALSE(sweep.load(mc, cutoff));
+  sweep.build_sweep(cutoff);
+  EXPECT_FALSE(sweep.grid_built());
+  EXPECT_TRUE(sweep.load(mc, cutoff));
+  ASSERT_FALSE(grid.pairs().empty());
+  EXPECT_TRUE(std::equal(grid.pairs().begin(), grid.pairs().end(),
+                         sweep.pairs().begin(), sweep.pairs().end()));
+}
+
+TEST(CellListEquivalence, SharedListDomainNeedsCutoff) {
+  const auto mc = test_complex(20, 40, 2);
+  opal::SharedPairList list(static_cast<std::uint32_t>(mc.n()), 2,
+                            opal::DistributionStrategy::RowCyclic, 1);
+  opal::ServerDomain dom(list, 0, 10);
+  EXPECT_THROW(dom.update(mc, -1.0), std::logic_error);
 }
 
 }  // namespace

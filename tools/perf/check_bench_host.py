@@ -65,8 +65,8 @@ def check_agreement(current: dict) -> None:
                  "reference")
     for point in current.get("crossover", []):
         if not point.get("agree", False):
-            fail(f"crossover n={point.get('n')}: active lists differ "
-                 "between paths")
+            fail(f"crossover n={point.get('n')} p={point.get('p', 1)}: "
+                 "active lists differ between paths")
 
 
 def check_crossover_model(current: dict) -> None:
@@ -75,7 +75,8 @@ def check_crossover_model(current: dict) -> None:
              "crossover model regressed")
     for point in current.get("crossover", []):
         if not point.get("model_ok", True):
-            fail(f"crossover n={point.get('n')}: Auto picked "
+            fail(f"crossover n={point.get('n')} p={point.get('p', 1)}: "
+                 f"Auto picked "
                  f"{'cells' if point.get('auto_cells') else 'brute'} but "
                  f"the other path wins by more than the noise band "
                  f"(speedup {point.get('speedup', 0.0):.2f})")
